@@ -1,9 +1,9 @@
-//! Optimizer effectiveness: gate counts before/after each pipeline, the
+//! Optimizer effectiveness: gate counts before/after the default pipeline, the
 //! compile-time cost of running it, and the end-to-end speedup it buys on
 //! a state-vector workload where every removed gate is a 2^20-amplitude
 //! sweep saved.
 //!
-//! Not a criterion bench: each circuit is optimized once per level and the
+//! Not a criterion bench: each circuit is optimized once and the
 //! mixed workload is executed through the engine with the optimizer off
 //! and on. Run modes:
 //!
@@ -168,12 +168,10 @@ fn main() {
     let workload = mixed_workload(20, workload_layers);
     circuits.push(("mixed-20q".to_string(), workload.clone()));
 
-    let mut results: Vec<OptMeasurement> = Vec::new();
-    for (name, bc) in &circuits {
-        for level in [OptLevel::Default, OptLevel::Aggressive] {
-            results.push(measure(name, bc, level));
-        }
-    }
+    let results: Vec<OptMeasurement> = circuits
+        .iter()
+        .map(|(name, bc)| measure(name, bc, OptLevel::Default))
+        .collect();
 
     println!(
         "{:>16}  {:>10}  {:>10}  {:>10}  {:>11}  {:>11}  {:>8}  {:>10}",

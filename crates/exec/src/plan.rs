@@ -168,8 +168,8 @@ impl Plan {
 ///
 /// The level is part of the key because the same circuit compiled at
 /// different levels yields genuinely different plans (different flat gate
-/// streams); a job asking for `Aggressive` must never receive a plan
-/// compiled at `Off`.
+/// streams); a job asking for `Default` must never receive a plan compiled
+/// at `Off`.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: Mutex<HashMap<(u64, OptLevel), Arc<Plan>>>,

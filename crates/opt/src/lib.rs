@@ -24,14 +24,12 @@
 //!    adjacency-based merging cannot.
 //! 5. **Clifford pushing** — deletes terminal diagonal gates absorbed by
 //!    measurements and discards (the measurement-frame absorption).
-//! 6. **Binary decomposition** (`Aggressive` only) — rewrites to a
-//!    constrained target set where every gate touches at most two wires
-//!    ([`quipper::decompose`]), then re-runs the cleanup passes over
-//!    the expansion.
 //!
 //! A whole-pipeline revert guard hands back the untouched input if the
 //! final circuit somehow ends up larger (recorded as an `opt.revert` pass),
-//! so no level ever reports more gates than it was given.
+//! so no level ever reports more gates than it was given. Lowering to a
+//! constrained gate base is a separate, explicit circuit transformer
+//! (`quipper::decompose`), not an optimizer level.
 //!
 //! Passes preserve hierarchy: a rewrite inside a box body optimizes every
 //! call site at once, which is what makes optimizing trillion-gate
@@ -58,34 +56,28 @@ pub enum OptLevel {
     /// increases the gate count.
     #[default]
     Default,
-    /// Everything in `Default`, then decomposition to the binary target
-    /// set (every gate on at most two wires) with a full cleanup round
-    /// (facts, cancellation, merging) over the expansion. If the
-    /// decomposed-and-cleaned circuit still has more gates than before
-    /// decomposition, the pipeline reverts to the pre-decompose circuit
-    /// (recorded as an `opt.revert` pass), so `Aggressive` never reports
-    /// more gates than `Default`.
-    Aggressive,
 }
 
 impl OptLevel {
+    /// Every level, in the order usage and error texts list them.
+    pub const ALL: [OptLevel; 2] = [OptLevel::Off, OptLevel::Default];
+
     /// The wire-format / CLI name of the level.
     pub fn as_str(self) -> &'static str {
         match self {
             OptLevel::Off => "off",
             OptLevel::Default => "default",
-            OptLevel::Aggressive => "aggressive",
         }
     }
 
     /// Parses the wire-format name back into a level.
     pub fn parse(s: &str) -> Option<OptLevel> {
-        match s {
-            "off" => Some(OptLevel::Off),
-            "default" => Some(OptLevel::Default),
-            "aggressive" => Some(OptLevel::Aggressive),
-            _ => None,
-        }
+        OptLevel::ALL.into_iter().find(|level| level.as_str() == s)
+    }
+
+    /// The accepted wire names, `"off|default"`, for usage and error texts.
+    pub fn names() -> String {
+        OptLevel::ALL.map(OptLevel::as_str).join("|")
     }
 }
 
@@ -105,8 +97,8 @@ pub struct PassStats {
     pub gates_before: u128,
     /// Total gates leaving the pass.
     pub gates_after: u128,
-    /// Individual rewrites applied (deletions, merges, control drops,
-    /// expansions). A pass can rewrite without shrinking — two rotations
+    /// Individual rewrites applied (deletions, merges, control drops).
+    /// A pass can rewrite without shrinking — two rotations
     /// merging into one is one rewrite, net −1 gate.
     pub rewrites: u64,
 }
@@ -153,13 +145,6 @@ impl OptReport {
     /// Total rewrites across all passes.
     pub fn rewrites(&self) -> u64 {
         self.passes.iter().map(|p| p.rewrites).sum()
-    }
-
-    /// Whether the pipeline discarded the decomposition because it grew the
-    /// circuit. When true, the output may still contain gates wider than
-    /// the binary target set.
-    pub fn reverted(&self) -> bool {
-        self.passes.iter().any(|p| p.name == "opt.revert")
     }
 
     /// The compact, copyable form carried on execution reports.
@@ -227,7 +212,6 @@ enum PassKind {
     Merge,
     PhasePoly,
     CliffordPush,
-    DecomposeBinary,
 }
 
 impl PassKind {
@@ -238,7 +222,6 @@ impl PassKind {
             PassKind::Merge => "opt.merge",
             PassKind::PhasePoly => "opt.phasepoly",
             PassKind::CliffordPush => "opt.clifford_push",
-            PassKind::DecomposeBinary => "opt.decompose",
         }
     }
 }
@@ -262,29 +245,6 @@ impl PassManager {
             // a wire back into a known constant); the trailing cancel
             // catches pairs exposed by merges and facts deletions.
             OptLevel::Default => vec![
-                FactsCleanup,
-                Cancel,
-                Merge,
-                PhasePoly,
-                CliffordPush,
-                FactsCleanup,
-                Cancel,
-            ],
-            // The prefix before `DecomposeBinary` is exactly the `Default`
-            // pipeline, so the revert-on-growth snapshot (taken just before
-            // decomposition) is never worse than the `Default` result. The
-            // expansion gets the same full cleanup treatment — including a
-            // facts round, which sees the constants that decomposition's
-            // ancilla plumbing exposes.
-            OptLevel::Aggressive => vec![
-                FactsCleanup,
-                Cancel,
-                Merge,
-                PhasePoly,
-                CliffordPush,
-                FactsCleanup,
-                Cancel,
-                DecomposeBinary,
                 FactsCleanup,
                 Cancel,
                 Merge,
@@ -324,14 +284,7 @@ impl PassManager {
         let input_total = bc.gate_count().total();
         let mut current = bc.clone();
         let mut stats = Vec::with_capacity(self.pipeline.len());
-        // Pre-decompose snapshot: if decomposition plus its cleanup rounds
-        // end up *larger* than the circuit they started from, keep the
-        // smaller circuit instead.
-        let mut snapshot: Option<(BCircuit, u128)> = None;
         for &kind in &self.pipeline {
-            if kind == PassKind::DecomposeBinary {
-                snapshot = Some((current.clone(), current.gate_count().total()));
-            }
             let _span = span(Phase::Compile, kind.name());
             let gates_before = current.gate_count().total();
             let mut rewrites = 0u64;
@@ -365,10 +318,6 @@ impl PassManager {
                     quipper_trace::count(names::OPT_CLIFFORD_ABSORBED, absorbed);
                     out
                 }
-                PassKind::DecomposeBinary => {
-                    rewrites = passes::count_wide_gates(&current);
-                    quipper::decompose::decompose(quipper::decompose::GateBase::Binary, &current)
-                }
             };
             stats.push(PassStats {
                 name: kind.name(),
@@ -377,23 +326,10 @@ impl PassManager {
                 rewrites,
             });
         }
-        if let Some((snap, snap_total)) = snapshot {
-            let final_total = current.gate_count().total();
-            if final_total > snap_total {
-                let _span = span(Phase::Compile, "opt.revert");
-                stats.push(PassStats {
-                    name: "opt.revert",
-                    gates_before: final_total,
-                    gates_after: snap_total,
-                    rewrites: 1,
-                });
-                current = snap;
-            }
-        }
         // Whole-pipeline guard: no run may hand back more gates than it was
-        // given. The non-decompose passes individually never grow, so this
-        // only fires on pathological inputs — but the invariant is cheap to
-        // enforce unconditionally.
+        // given. The passes individually never grow, so this only fires on
+        // pathological inputs — but the invariant is cheap to enforce
+        // unconditionally.
         let final_total = current.gate_count().total();
         if final_total > input_total {
             let _span = span(Phase::Compile, "opt.revert");
@@ -704,68 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn aggressive_decomposes_to_binary_gates_or_reverts() {
-        let bc = main_only(
-            vec![
-                Gate::toffoli(Wire(2), Wire(0), Wire(1)),
-                Gate::unary(GateName::H, Wire(0)),
-            ],
-            3,
-        );
-        let (out, report) = optimize(&bc, OptLevel::Aggressive);
-        out.validate().unwrap();
-        assert!(report
-            .passes
-            .iter()
-            .any(|p| p.name == "opt.decompose" && p.rewrites >= 1));
-        if report.reverted() {
-            // Decomposing one Toffoli grows the circuit, so the pipeline
-            // must hand back the pre-decompose circuit: no worse than
-            // Default on gate count.
-            let (_, default_report) = optimize(&bc, OptLevel::Default);
-            assert!(report.gates_after() <= default_report.gates_after());
-            assert_eq!(out.main.gates.len(), 2);
-        } else {
-            for (_, def) in out.db.iter() {
-                for g in &def.circuit.gates {
-                    let mut wires = 0;
-                    g.for_each_wire(&mut |_| wires += 1);
-                    assert!(wires <= 2, "wide gate survived: {g:?}");
-                }
-            }
-            for g in &out.main.gates {
-                let mut wires = 0;
-                g.for_each_wire(&mut |_| wires += 1);
-                assert!(wires <= 2, "wide gate survived in main: {g:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn aggressive_never_exceeds_default_gate_count() {
-        // A mixed circuit with a wide gate and some cancelable structure.
-        let bc = main_only(
-            vec![
-                Gate::unary(GateName::H, Wire(0)),
-                Gate::toffoli(Wire(2), Wire(0), Wire(1)),
-                Gate::unary(GateName::T, Wire(1)),
-                Gate::toffoli(Wire(2), Wire(0), Wire(1)),
-                Gate::unary(GateName::H, Wire(0)),
-            ],
-            3,
-        );
-        let (_, default_report) = optimize(&bc, OptLevel::Default);
-        let (out, aggressive_report) = optimize(&bc, OptLevel::Aggressive);
-        out.validate().unwrap();
-        assert!(
-            aggressive_report.gates_after() <= default_report.gates_after(),
-            "aggressive ({}) regressed past default ({})",
-            aggressive_report.gates_after(),
-            default_report.gates_after(),
-        );
-    }
-
-    #[test]
     fn phasepoly_merges_rotations_across_cnots() {
         // T(0) · CNOT(1←0) · T(0): the CNOT's control leaves wire 0's
         // parity unchanged, so the two T's share one phase-polynomial term
@@ -914,10 +788,12 @@ mod tests {
 
     #[test]
     fn levels_parse_round_trip() {
-        for level in [OptLevel::Off, OptLevel::Default, OptLevel::Aggressive] {
+        for level in OptLevel::ALL {
             assert_eq!(OptLevel::parse(level.as_str()), Some(level));
         }
+        assert_eq!(OptLevel::names(), "off|default");
         assert_eq!(OptLevel::parse("max"), None);
+        assert_eq!(OptLevel::parse("aggressive"), None);
         assert_eq!(OptLevel::default(), OptLevel::Default);
     }
 

@@ -160,8 +160,6 @@ fn assert_equal_up_to_global_phase(a: &[Complex], b: &[Complex]) {
     }
 }
 
-const LEVELS: [OptLevel; 3] = [OptLevel::Off, OptLevel::Default, OptLevel::Aggressive];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -177,7 +175,7 @@ proptest! {
         let bc = hierarchical(&main_gates, &body_gates, reps, dup_every, false);
         bc.validate().unwrap();
         let reference = quipper_sim::run(&bc, &[], 11).unwrap();
-        for level in LEVELS {
+        for level in OptLevel::ALL {
             let (opt, report) = optimize(&bc, level);
             opt.validate().unwrap();
             prop_assert_eq!(report.level, level);
@@ -205,7 +203,7 @@ proptest! {
     ) {
         let bc = hierarchical(&main_gates, &body_gates, reps, dup_every, true);
         bc.validate().unwrap();
-        for level in LEVELS {
+        for level in OptLevel::ALL {
             let (opt, _) = optimize(&bc, level);
             opt.validate().unwrap();
             for seed in 0..6u64 {

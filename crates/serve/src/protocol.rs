@@ -9,8 +9,8 @@
 //! |           | source, size-capped; rejected with span-anchored `QP###`      |
 //! |           | `diagnostics`), plus `tenant`, `shots`, `seed`, `label`,      |
 //! |           | `priority`, `deadline_ms`, `inputs` (array of 0/1), `opt`     |
-//! |           | (`"off"`/`"default"`/`"aggressive"`, defaults to the engine's |
-//! |           | configured level) — all optional except circuit/qasm          |
+//! |           | (`"off"`/`"default"`, defaults to the engine's configured     |
+//! |           | level) — all optional except circuit/qasm                     |
 //! | `status`  | `id`                                                          |
 //! | `result`  | `id` — histogram + report once completed; failed and          |
 //! |           | deadline-missed jobs attach their flight timeline             |
@@ -421,7 +421,8 @@ fn handle_submit(service: &Service, catalog: &Catalog, req: &Json) -> Handled {
             Some(level) => submission = submission.opt(level),
             None => {
                 return err(&format!(
-                    "unknown opt level {spec:?} (off/default/aggressive)"
+                    "unknown opt level {spec:?} ({})",
+                    quipper_exec::OptLevel::names()
                 ))
             }
         }
@@ -482,7 +483,7 @@ mod tests {
         let resp = handle_ok(
             &service,
             &catalog,
-            r#"{"op":"submit","circuit":"ghz3","tenant":"t","shots":32,"seed":7,"label":"demo","opt":"aggressive"}"#,
+            r#"{"op":"submit","circuit":"ghz3","tenant":"t","shots":32,"seed":7,"label":"demo","opt":"default"}"#,
         );
         let id = resp.get("id").and_then(Json::as_num).unwrap() as u64;
         service.drain();
@@ -532,6 +533,24 @@ mod tests {
     }
 
     #[test]
+    fn removed_aggressive_level_is_refused_naming_the_valid_levels() {
+        let (service, catalog) = fixture();
+        let handled = handle_line(
+            &service,
+            &catalog,
+            r#"{"op":"submit","circuit":"ghz3","opt":"aggressive"}"#,
+        );
+        let json = parse_json(&handled.response).unwrap();
+        assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            json.get("error").and_then(Json::as_str),
+            Some(r#"unknown opt level "aggressive" (off|default)"#)
+        );
+        assert_eq!(service.stats().admitted, 0);
+        service.shutdown();
+    }
+
+    #[test]
     fn export_returns_qasm_that_round_trips_through_escaping() {
         let (service, catalog) = fixture();
         let resp = handle_ok(
@@ -556,7 +575,7 @@ mod tests {
             &service,
             &catalog,
             &format!(
-                r#"{{"op":"submit","qasm":"{qasm}","tenant":"t","shots":16,"seed":3,"opt":"aggressive"}}"#
+                r#"{{"op":"submit","qasm":"{qasm}","tenant":"t","shots":16,"seed":3,"opt":"default"}}"#
             ),
         );
         let id = resp.get("id").and_then(Json::as_num).unwrap() as u64;

@@ -125,19 +125,24 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, not a `String`: `read_until` keeps whatever arrived before
+    // a read timeout, where `read_line` drops a partial multi-byte
+    // character along with the error.
+    let mut line = Vec::new();
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client hung up
             Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let handled = handle_line(service, catalog, &line);
+                let request = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => None,
+                    Ok(text) => Some(handle_line(service, catalog, text)),
+                    Err(_) => return, // not UTF-8: not a protocol client
+                };
+                line.clear();
+                let Some(handled) = request else { continue };
                 // Raise the stop flag before answering: a one-shot client
                 // may close right after sending `shutdown`, and a failed
                 // response write must not swallow the request.
@@ -160,6 +165,7 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
+                // Any partial line stays in `line` until its newline arrives.
                 continue;
             }
             Err(_) => return,
@@ -224,6 +230,35 @@ mod tests {
         // A second connection still works, then shutdown stops the loop.
         let responses = client_round_trip(addr, &[r#"{"op":"shutdown"}"#]);
         assert_eq!(responses[0].get("stopping"), Some(&Json::Bool(true)));
+        server.join();
+        service.shutdown();
+    }
+
+    /// A request that arrives in pieces straddling the connection's read
+    /// timeout is reassembled, not truncated to its tail.
+    #[test]
+    fn a_line_split_across_the_read_timeout_is_kept_whole() {
+        let service = Arc::new(Service::start(Engine::new(), ServiceConfig::default()));
+        let server = Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            Arc::new(Catalog::new()),
+        )
+        .unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(br#"{"op":"pi"#).unwrap();
+        writer.flush().unwrap();
+        // Twice the server's 200 ms read timeout.
+        std::thread::sleep(Duration::from_millis(400));
+        writer.write_all(b"ng\"}\n").unwrap();
+        writer.flush().unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let json = parse_json(response.trim()).unwrap();
+        assert_eq!(json.get("pong"), Some(&Json::Bool(true)), "{response}");
+        server.stop();
         server.join();
         service.shutdown();
     }

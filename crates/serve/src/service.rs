@@ -537,6 +537,10 @@ impl Service {
 
         inner.jobs.lock().unwrap().insert(id, Arc::clone(&record));
         *inner.active.lock().unwrap() += 1;
+        // Stamp before the push: once queued, a worker may pop the job and
+        // stamp compile/shots at once, and a later queue stamp would book
+        // that work as queue wait. A refused push drops the record anyway.
+        record.flight.stamp(phases::QUEUE, None);
         if let Err(retry_after) = inner.queue.push(entry) {
             // Not admitted after all: uncharge the tenant and forget the job.
             inner.jobs.lock().unwrap().remove(&id);
@@ -554,7 +558,6 @@ impl Service {
                 retry_after,
             });
         }
-        record.flight.stamp(phases::QUEUE, None);
         inner.counters.admitted.fetch_add(1, Ordering::Relaxed);
         if inner.trace.enabled() {
             inner.trace.metrics().add(names::SERVE_ADMIT, 1);

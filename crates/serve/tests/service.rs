@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use quipper::{Circ, Qubit};
 use quipper_circuit::BCircuit;
 use quipper_exec::{Engine, EngineConfig};
+use quipper_serve::flight::phases;
 use quipper_serve::{
     FaultConfig, FaultInjector, JobState, QuotaPolicy, RejectReason, RetryPolicy, Service,
     ServiceConfig, Submission,
@@ -417,5 +418,54 @@ fn identical_concurrent_jobs_share_one_compile_and_agree() {
     assert_eq!(trace.metrics().counter(names::CACHE_MISS), 0);
     let stats = service.stats();
     assert_eq!(stats.completed, 12);
+    service.shutdown();
+}
+
+/// The queue stamp is taken before a job becomes visible to the workers,
+/// so no timeline shows a worker phase ahead of it — which would book
+/// compile and shot time as queue wait. Several submitter threads race a
+/// multi-worker pool to give the interleaving a chance to show.
+#[test]
+fn queue_stamp_precedes_every_worker_stamp() {
+    let service = Arc::new(Service::start(
+        Engine::new(),
+        ServiceConfig {
+            workers: 4,
+            queue_capacity: 1024,
+            quota: QuotaPolicy::unlimited(),
+            ..ServiceConfig::default()
+        },
+    ));
+    let circuit = Arc::new(ghz(3));
+    let submitters: Vec<_> = (0..4)
+        .map(|t| {
+            let service = Arc::clone(&service);
+            let circuit = Arc::clone(&circuit);
+            std::thread::spawn(move || {
+                (0..100u64)
+                    .map(|i| {
+                        let submission = Submission::new("t", Arc::clone(&circuit))
+                            .inputs(vec![false; 3])
+                            .seed(t * 1000 + i);
+                        service.submit(submission).expect("burst fits the queue")
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let ids: Vec<_> = submitters
+        .into_iter()
+        .flat_map(|handle| handle.join().unwrap())
+        .collect();
+    service.drain();
+    for id in ids {
+        let timeline = service.flight(id).expect("admitted job has a timeline");
+        let order: Vec<&str> = timeline.events.iter().map(|e| e.phase).collect();
+        assert_eq!(
+            order[..2],
+            [phases::ADMIT, phases::QUEUE],
+            "job {id}: {order:?}"
+        );
+    }
     service.shutdown();
 }

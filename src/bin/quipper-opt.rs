@@ -6,7 +6,7 @@
 //! execute:
 //!
 //! ```text
-//! cargo run --release --bin quipper-opt -- --level aggressive
+//! cargo run --release --bin quipper-opt -- --level default
 //! ```
 //!
 //! Exit status is 0 unless arguments are malformed; the tool reports, it
@@ -21,7 +21,9 @@ use quipper_opt::{optimize, OptLevel, OptReport};
 mod circuit_suite;
 use circuit_suite::suite;
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 quipper-opt: pass-manager circuit optimizer over the built-in suite
 
 USAGE: quipper-opt [OPTIONS]
@@ -31,10 +33,13 @@ OPTIONS:
   --only NAME        optimize only this circuit (repeatable)
   --qasm FILE        also optimize an OpenQASM file (repeatable); files
                      that do not parse report their QP codes and fail
-  --level LEVEL      pipeline to run: off | default | aggressive
-                     (default: default)
+  --level LEVEL      pipeline to run: {} (default: {})
   --json             emit JSON Lines instead of the pretty table
-  -h, --help         this text";
+  -h, --help         this text",
+        OptLevel::names(),
+        OptLevel::default(),
+    )
+}
 
 struct Options {
     list: bool,
@@ -48,7 +53,7 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         list: false,
         json: false,
-        level: OptLevel::Default,
+        level: OptLevel::default(),
         only: Vec::new(),
         qasm: Vec::new(),
     };
@@ -60,7 +65,7 @@ fn parse_args() -> Result<Options, String> {
             "--level" => {
                 opts.level = match args.next().as_deref().and_then(OptLevel::parse) {
                     Some(level) => level,
-                    None => return Err("--level expects off|default|aggressive".into()),
+                    None => return Err(format!("--level expects {}", OptLevel::names())),
                 }
             }
             "--only" => match args.next() {
@@ -72,7 +77,7 @@ fn parse_args() -> Result<Options, String> {
                 None => return Err("--qasm expects a file path".into()),
             },
             "-h" | "--help" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -139,7 +144,7 @@ fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(opts) => opts,
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            eprintln!("error: {msg}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };

@@ -12,6 +12,7 @@ use quipper::classical::{synth, BExpr, CDag, Dag};
 use quipper::{Circ, Qubit};
 use quipper_circuit::flatten::inline_all;
 use quipper_circuit::reverse::reverse_circuit;
+use quipper_opt::{optimize, OptLevel};
 
 // ---------------------------------------------------------------------
 // Random classical DAGs
@@ -412,10 +413,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The peephole optimizer is semantics-preserving: random reversible
-    /// circuits (with deliberately redundant structure appended) compute
-    /// the same function before and after optimization, on every basis
-    /// input.
+    /// The default optimizer pipeline is semantics-preserving: random
+    /// reversible circuits (with deliberately redundant structure appended)
+    /// compute the same function before and after optimization, on every
+    /// basis input.
     #[test]
     fn optimizer_preserves_classical_semantics(
         gates in prop::collection::vec(rgate_strategy(4), 0..30),
@@ -436,7 +437,7 @@ proptest! {
             })
         };
         let original = build();
-        let (optimized, _stats) = quipper::optimize::optimize(&original);
+        let (optimized, _report) = optimize(&original, OptLevel::Default);
         optimized.validate().unwrap();
         prop_assert!(optimized.gate_count().total() <= original.gate_count().total());
         for bits in 0..16u32 {
@@ -462,7 +463,7 @@ proptest! {
                 qs
             })
         });
-        let (opt, _) = quipper::optimize::optimize(&bc);
+        let (opt, _) = optimize(&bc, OptLevel::Default);
         opt.validate().unwrap();
         for bits in 0..8u32 {
             let input: Vec<bool> = (0..3).map(|i| bits >> i & 1 == 1).collect();
