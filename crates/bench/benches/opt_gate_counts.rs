@@ -27,6 +27,13 @@ use quipper_exec::{Engine, EngineConfig, Job, OptLevel};
 use quipper_opt::{optimize, OptReport};
 use quipper_serve::catalog::Catalog;
 
+/// The mixed-20q default-level `(T-count, total)` after optimization, per
+/// run mode: full mode is the figure recorded in `BENCH_opt.json` (528 →
+/// 356 gates, T 20 → 4); quick mode's two-layer workload goes 274 → 188
+/// gates, T 10 → 2. The smoke fails if the pipeline ever does worse.
+const RECORDED_MIXED_FULL: (u128, u128) = (4, 356);
+const RECORDED_MIXED_QUICK: (u128, u128) = (2, 188);
+
 /// A 20-qubit mixed workload with realistic redundancy: mergeable rotation
 /// runs, Hadamard pairs straddling diagonal gates, phase-polynomial T terms
 /// only parity tracking can fold, and an uncompute tail that mirrors the
@@ -218,8 +225,8 @@ fn main() {
         default_reduced.len()
     );
     // Phase-polynomial smoke: the new pass must strictly reduce T-count on
-    // at least two circuits, and on the mixed workload it must beat the
-    // pre-phasepoly baseline pipeline without growing the total.
+    // at least two circuits, and the mixed workload must stay at or below
+    // its recorded T-count and total.
     let t_reduced: Vec<&OptMeasurement> = results
         .iter()
         .filter(|m| m.level == OptLevel::Default && m.t_after < m.t_before)
@@ -229,31 +236,31 @@ fn main() {
         "default pipeline should strictly reduce T-count on at least 2 circuits, got {}",
         t_reduced.len()
     );
-    let (baseline_out, _) = quipper_opt::PassManager::baseline_default().run(&workload);
-    let baseline_counts = baseline_out.gate_count();
     let workload_default = results
         .iter()
         .find(|m| m.name == "mixed-20q" && m.level == OptLevel::Default)
         .unwrap();
+    let (max_t, max_gates) = if quick {
+        RECORDED_MIXED_QUICK
+    } else {
+        RECORDED_MIXED_FULL
+    };
     assert!(
-        workload_default.t_after < baseline_counts.t_count(),
-        "default pipeline T-count ({}) must beat the cancel/merge baseline ({})",
+        workload_default.t_after <= max_t,
+        "default pipeline T-count ({}) must not exceed the recorded {max_t}",
         workload_default.t_after,
-        baseline_counts.t_count()
     );
     assert!(
-        workload_default.gates_after <= baseline_counts.total(),
-        "default pipeline total ({}) must be no worse than the baseline ({})",
+        workload_default.gates_after <= max_gates,
+        "default pipeline total ({}) must not exceed the recorded {max_gates}",
         workload_default.gates_after,
-        baseline_counts.total()
     );
     println!(
         "smoke check passed ({} circuits reduced at default, {} with lower T-count, \
-         workload -{workload_delta} gates, T {} vs baseline {})",
+         workload -{workload_delta} gates, T {})",
         default_reduced.len(),
         t_reduced.len(),
         workload_default.t_after,
-        baseline_counts.t_count()
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_opt.json");

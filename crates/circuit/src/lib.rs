@@ -34,6 +34,7 @@
 //! assert_eq!(circ.gates.len(), 2);
 //! ```
 
+pub mod clifford;
 pub mod commute;
 pub mod count;
 pub mod error;

@@ -6,11 +6,11 @@
 //! algebraic questions the lint and optimizer passes need:
 //!
 //! * **Conjugation**: given a Pauli string `P` and a gate `G`, what is
-//!   `G P G†`? Exact for the Clifford gates {X, Y, Z, H, S, S†, CNOT
-//!   (positive or negative control), CZ, Swap}, for any gate that does not
-//!   touch `P`'s support, and for Z-diagonal gates against Z/I strings.
-//!   Everything else returns `None` — sound, not complete, the same trade
-//!   `commute.rs` makes.
+//!   `G P G†`? Exact for every gate in the Clifford table ([`clifford`]),
+//!   which the router and the stabilizer tableau read too, for any gate
+//!   that does not touch `P`'s support, and for Z-diagonal gates against
+//!   Z/I strings. Everything else returns `None` — sound, not complete,
+//!   the same trade `commute.rs` makes.
 //! * **Commutation**: two Pauli strings commute iff they anticommute on an
 //!   even number of wires (the symplectic form over GF(2)).
 //! * **Phase polynomials**: over a region built from {X, CNOT, Swap,
@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::circuit::Circuit;
+use crate::clifford::{self, Step};
 use crate::commute::{wire_actions, WireAction};
 use crate::gate::{Gate, GateName};
 use crate::wire::Wire;
@@ -157,21 +158,77 @@ impl PauliString {
         }
     }
 
-    /// Conjugates in place by a single-wire Pauli `q` on `wire`
-    /// (`P ← q P q`): flips the sign when the factors anticommute.
-    fn conj_by_pauli(&mut self, wire: Wire, q: Pauli) {
-        if !self.get(wire).commutes(q) {
+    /// The `(x, z)` symplectic bits of the factor on `wire` (`Y` is
+    /// `(1, 1)`).
+    fn bits(&self, wire: Wire) -> (bool, bool) {
+        match self.get(wire) {
+            Pauli::I => (false, false),
+            Pauli::X => (true, false),
+            Pauli::Y => (true, true),
+            Pauli::Z => (false, true),
+        }
+    }
+
+    fn set_bits(&mut self, wire: Wire, (x, z): (bool, bool)) {
+        let p = match (x, z) {
+            (false, false) => Pauli::I,
+            (true, false) => Pauli::X,
+            (true, true) => Pauli::Y,
+            (false, true) => Pauli::Z,
+        };
+        self.set(wire, p);
+    }
+
+    fn negate_if(&mut self, flip: bool) {
+        if flip {
             self.negate();
         }
     }
 
+    /// Conjugates in place by one tableau primitive. A string is one row of
+    /// a stabilizer tableau, so these are the tableau's own update rules
+    /// (Aaronson & Gottesman).
+    fn conjugate_step(&mut self, step: Step) {
+        match step {
+            Step::X(w) => self.negate_if(self.bits(w).1),
+            Step::Z(w) => self.negate_if(self.bits(w).0),
+            Step::H(w) => {
+                let (x, z) = self.bits(w);
+                self.negate_if(x && z);
+                self.set_bits(w, (z, x));
+            }
+            Step::S(w) => {
+                let (x, z) = self.bits(w);
+                self.negate_if(x && z);
+                self.set_bits(w, (x, z ^ x));
+            }
+            Step::Cx(c, t) => {
+                let ((xc, zc), (xt, zt)) = (self.bits(c), self.bits(t));
+                self.negate_if(xc && zt && xt == zc);
+                self.set_bits(c, (xc, zc ^ zt));
+                self.set_bits(t, (xt ^ xc, zt));
+            }
+            Step::Cz(a, b) => {
+                let ((xa, za), (xb, zb)) = (self.bits(a), self.bits(b));
+                self.negate_if(xa && xb && za != zb);
+                self.set_bits(a, (xa, za ^ xb));
+                self.set_bits(b, (xb, zb ^ xa));
+            }
+            Step::Swap(a, b) => {
+                let (pa, pb) = (self.get(a), self.get(b));
+                self.set(a, pb);
+                self.set(b, pa);
+            }
+        }
+    }
+
     /// The conjugate `G · self · G†`, or `None` when the gate is outside the
-    /// supported Clifford fragment (relative to this string).
+    /// supported fragment (relative to this string).
     ///
     /// Three tiers are handled exactly:
     /// 1. gates disjoint from the string's support leave it unchanged;
-    /// 2. the Clifford gates X/Y/Z/H/S/S†/Swap/CNOT/CZ use their
-    ///    conjugation tables (negative controls conjugate by X first);
+    /// 2. gates in the Clifford table ([`clifford::steps`], every control
+    ///    taken as quantum) conjugate step by step;
     /// 3. any all-Z-diagonal gate (T, controlled phases, Z rotations,
     ///    GPhase) fixes a string that is Z or I on every wire it touches.
     pub fn conjugate(&self, gate: &Gate) -> Option<PauliString> {
@@ -180,65 +237,17 @@ impl PauliString {
         if !touches {
             return Some(self.clone());
         }
+        if let Some(steps) = clifford::steps(gate, |_| true) {
+            let mut out = self.clone();
+            for &step in steps.iter() {
+                out.conjugate_step(step);
+            }
+            return Some(out);
+        }
         match gate {
-            Gate::QGate {
-                name,
-                inverted,
-                targets,
-                controls,
-            } => match (name, controls.len()) {
-                (GateName::X | GateName::Y | GateName::Z | GateName::H | GateName::S, 0) => {
-                    let mut out = self.clone();
-                    for &t in targets {
-                        conj_1q(&mut out, t, name, *inverted);
-                    }
-                    Some(out)
-                }
-                (GateName::Swap, 0) => {
-                    let [a, b] = targets[..] else { return None };
-                    let mut out = self.clone();
-                    let (pa, pb) = (out.get(a), out.get(b));
-                    out.set(a, pb);
-                    out.set(b, pa);
-                    Some(out)
-                }
-                (GateName::X, 1) => {
-                    let c = controls[0];
-                    if targets.contains(&c.wire) {
-                        return None; // malformed self-control; stay conservative
-                    }
-                    let mut out = self.clone();
-                    if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
-                    }
-                    for &t in targets {
-                        conj_cnot(&mut out, c.wire, t);
-                    }
-                    if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
-                    }
-                    Some(out)
-                }
-                (GateName::Z, 1) => {
-                    let c = controls[0];
-                    if targets.contains(&c.wire) {
-                        return None;
-                    }
-                    let mut out = self.clone();
-                    if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
-                    }
-                    for &t in targets {
-                        conj_cz(&mut out, c.wire, t);
-                    }
-                    if !c.positive {
-                        out.conj_by_pauli(c.wire, Pauli::X);
-                    }
-                    Some(out)
-                }
-                _ => self.conjugate_diagonal(gate),
-            },
-            Gate::QRot { .. } | Gate::GPhase { .. } => self.conjugate_diagonal(gate),
+            Gate::QGate { .. } | Gate::QRot { .. } | Gate::GPhase { .. } => {
+                self.conjugate_diagonal(gate)
+            }
             _ => None,
         }
     }
@@ -253,111 +262,6 @@ impl PauliString {
             .all(|w| matches!(self.get(*w), Pauli::I | Pauli::Z));
         (diagonal && z_only).then(|| self.clone())
     }
-}
-
-/// 1-qubit Clifford conjugation tables: `G P G†` on one wire.
-fn conj_1q(s: &mut PauliString, wire: Wire, name: &GateName, inverted: bool) {
-    let p = s.get(wire);
-    if p == Pauli::I {
-        return;
-    }
-    let (q, negate) = match name {
-        // H: X↔Z, Y→−Y.
-        GateName::H => match p {
-            Pauli::X => (Pauli::Z, false),
-            Pauli::Z => (Pauli::X, false),
-            Pauli::Y => (Pauli::Y, true),
-            Pauli::I => unreachable!(),
-        },
-        // S: X→Y, Y→−X, Z→Z; S† is the inverse permutation.
-        GateName::S => match (p, inverted) {
-            (Pauli::X, false) => (Pauli::Y, false),
-            (Pauli::Y, false) => (Pauli::X, true),
-            (Pauli::X, true) => (Pauli::Y, true),
-            (Pauli::Y, true) => (Pauli::X, false),
-            (Pauli::Z, _) => (Pauli::Z, false),
-            (Pauli::I, _) => unreachable!(),
-        },
-        // Conjugation by a Pauli flips the sign of anticommuting factors.
-        GateName::X => (p, !p.commutes(Pauli::X)),
-        GateName::Y => (p, !p.commutes(Pauli::Y)),
-        GateName::Z => (p, !p.commutes(Pauli::Z)),
-        _ => unreachable!("conj_1q called on unsupported gate"),
-    };
-    s.set(wire, q);
-    if negate {
-        s.negate();
-    }
-}
-
-/// CNOT conjugation: `Xc→XcXt`, `Zt→ZcZt`, `Zc→Zc`, `Xt→Xt` (and the Y
-/// images those imply, via `Y = iXZ`).
-fn conj_cnot(s: &mut PauliString, c: Wire, t: Wire) {
-    // Decompose P = i^k · (c-factor) · (t-factor) · rest and map each factor
-    // through the table by multiplying images: conjugation is a homomorphism
-    // and Y = iXZ composes from the X and Z images.
-    let two = |wa: Wire, pa: Pauli, wb: Wire, pb: Pauli| {
-        PauliString::single(wa, pa).mul(&PauliString::single(wb, pb))
-    };
-    let x_img = |wire: Wire| {
-        if wire == c {
-            two(c, Pauli::X, t, Pauli::X)
-        } else {
-            PauliString::single(t, Pauli::X)
-        }
-    };
-    let z_img = |wire: Wire| {
-        if wire == c {
-            PauliString::single(c, Pauli::Z)
-        } else {
-            two(c, Pauli::Z, t, Pauli::Z)
-        }
-    };
-    conj_two_wire(s, c, t, x_img, z_img);
-}
-
-/// CZ conjugation: `Xa→XaZb`, `Xb→ZaXb`, `Z→Z`.
-fn conj_cz(s: &mut PauliString, a: Wire, b: Wire) {
-    let x_img = |wire: Wire| {
-        let other = if wire == a { b } else { a };
-        PauliString::single(wire, Pauli::X).mul(&PauliString::single(other, Pauli::Z))
-    };
-    let z_img = |wire: Wire| PauliString::single(wire, Pauli::Z);
-    conj_two_wire(s, a, b, x_img, z_img);
-}
-
-/// Rebuilds `s` by replacing its factors on wires `a` and `b` with their
-/// images under a two-qubit Clifford, given the images of X and Z per wire.
-fn conj_two_wire(
-    s: &mut PauliString,
-    a: Wire,
-    b: Wire,
-    x_img: impl Fn(Wire) -> PauliString,
-    z_img: impl Fn(Wire) -> PauliString,
-) {
-    let (pa, pb) = (s.get(a), s.get(b));
-    let mut image = PauliString {
-        phase: s.phase,
-        ops: s
-            .ops
-            .iter()
-            .filter(|(w, _)| **w != a && **w != b)
-            .map(|(w, p)| (*w, *p))
-            .collect(),
-    };
-    for (p, wire) in [(pa, a), (pb, b)] {
-        match p {
-            Pauli::I => {}
-            Pauli::X => image = image.mul(&x_img(wire)),
-            Pauli::Z => image = image.mul(&z_img(wire)),
-            Pauli::Y => {
-                image.phase = (image.phase + 1) % 4;
-                image = image.mul(&x_img(wire));
-                image = image.mul(&z_img(wire));
-            }
-        }
-    }
-    *s = image;
 }
 
 // ---------------------------------------------------------------------
@@ -739,6 +643,11 @@ mod tests {
                 vec![vec![(1.0, 0.0), (0.0, 0.0)], vec![(0.0, 0.0), (0.0, 1.0)]]
             }
             GateName::S => vec![vec![(1.0, 0.0), (0.0, 0.0)], vec![(0.0, 0.0), (0.0, -1.0)]],
+            // V = √X = ½[[1+i, 1−i], [1−i, 1+i]].
+            GateName::V if !inverted => {
+                vec![vec![(0.5, 0.5), (0.5, -0.5)], vec![(0.5, -0.5), (0.5, 0.5)]]
+            }
+            GateName::V => dagger(&gate_1q_mat(&GateName::V, false)),
             GateName::X => pauli_mat(Pauli::X),
             GateName::Y => pauli_mat(Pauli::Y),
             GateName::Z => pauli_mat(Pauli::Z),
@@ -766,10 +675,12 @@ mod tests {
         m
     }
 
-    fn cz_mat() -> Mat {
+    /// Same basis as [`cnot_mat`]: the phase lands on |c=fire, t=1⟩.
+    fn cz_mat(negative: bool) -> Mat {
+        let fires = if negative { 1 } else { 3 };
         let mut m = vec![vec![(0.0, 0.0); 4]; 4];
         for (i, row) in m.iter_mut().enumerate() {
-            row[i] = if i == 3 { (-1.0, 0.0) } else { (1.0, 0.0) };
+            row[i] = if i == fires { (-1.0, 0.0) } else { (1.0, 0.0) };
         }
         m
     }
@@ -833,6 +744,8 @@ mod tests {
             (GateName::H, false),
             (GateName::S, false),
             (GateName::S, true),
+            (GateName::V, false),
+            (GateName::V, true),
             (GateName::X, false),
             (GateName::Y, false),
             (GateName::Z, false),
@@ -867,22 +780,27 @@ mod tests {
             targets: vec![Wire(1)],
             controls: vec![Control::negative(Wire(0))],
         };
-        let cz = Gate::QGate {
+        let cz = |control: Control| Gate::QGate {
             name: GateName::Z,
             inverted: false,
             targets: vec![Wire(1)],
-            controls: vec![Control::positive(Wire(0))],
+            controls: vec![control],
         };
+        let (cz_pos, cz_neg) = (
+            cz(Control::positive(Wire(0))),
+            cz(Control::negative(Wire(0))),
+        );
         let swap = Gate::QGate {
             name: GateName::Swap,
             inverted: false,
             targets: vec![Wire(0), Wire(1)],
             controls: vec![],
         };
-        let cases: [(&Gate, Mat); 4] = [
+        let cases: [(&Gate, Mat); 5] = [
             (&cnot, cnot_mat(false)),
             (&cnot_neg, cnot_mat(true)),
-            (&cz, cz_mat()),
+            (&cz_pos, cz_mat(false)),
+            (&cz_neg, cz_mat(true)),
             (&swap, swap_mat()),
         ];
         for (gate, g) in &cases {

@@ -4,13 +4,15 @@
 //! routing decision is made once per compiled plan from a [`CircuitProfile`]
 //! computed by a single linear walk over the flat gate list. The walk tracks
 //! each live wire's current type (measurement turns quantum wires classical,
-//! paper §4.2.3), which matters because a *classical* control on a quantum
-//! gate is harmless for the stabilizer simulator while a *negative quantum*
-//! control is not.
+//! paper §4.2.3), which matters because the Clifford table
+//! ([`quipper_circuit::clifford`]) that decides stabilizer routing only
+//! sees quantum controls: a *classical* control gates the whole operation,
+//! while a second *quantum* control leaves the fragment.
 
 use std::collections::HashMap;
 
-use quipper_circuit::{Circuit, Control, Gate, GateName, Wire, WireType};
+use quipper_circuit::clifford;
+use quipper_circuit::{Circuit, Gate, GateName, Wire, WireType};
 
 /// What a flat circuit needs from a simulator, computed in one pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -19,10 +21,9 @@ pub struct CircuitProfile {
     /// Z-basis phases / classical gates), so the bit-per-wire simulator can
     /// run it.
     pub classical_only: bool,
-    /// Every gate is in the Clifford set accepted by the CHP tableau
-    /// simulator: H, S/S†, V/V†, X, Y, Z, swap, CNOT, CZ — with at most one
-    /// positive quantum control — plus initializations, assertive
-    /// terminations, measurements and discards.
+    /// Every gate is in the Clifford table ([`clifford::steps`]) that the
+    /// CHP tableau simulator replays — classical controls allowed — or is
+    /// an initialization, assertive termination, measurement or discard.
     pub clifford_only: bool,
     /// Peak number of simultaneously live quantum wires. State-vector cost is
     /// `2^peak_qubits` amplitudes, so this bounds which circuits the exact
@@ -35,22 +36,6 @@ pub struct CircuitProfile {
     /// Every circuit output is a classical wire, i.e. the circuit measures or
     /// asserts away all its qubits. Sampling jobs require this.
     pub outputs_classical: bool,
-}
-
-/// Splits the controls of a gate by the *current* type of the control wire.
-/// Returns `(quantum_positive, quantum_negative, classical)` counts. Controls
-/// on unknown wires are conservatively counted as quantum-negative (they will
-/// fail simulation anyway).
-fn split_controls(controls: &[Control], types: &HashMap<Wire, WireType>) -> (usize, usize, usize) {
-    let (mut qpos, mut qneg, mut cls) = (0, 0, 0);
-    for c in controls {
-        match types.get(&c.wire) {
-            Some(WireType::Classical) => cls += 1,
-            Some(WireType::Quantum) if c.positive => qpos += 1,
-            _ => qneg += 1,
-        }
-    }
-    (qpos, qneg, cls)
 }
 
 /// Whether the bit-per-wire classical simulator accepts this gate (mirrors
@@ -75,10 +60,10 @@ fn is_classical(gate: &Gate) -> bool {
     }
 }
 
-/// Whether the CHP stabilizer simulator accepts this gate (mirrors
-/// `Stabilizer`-based `run_clifford_flat`). Needs the current wire types to
-/// distinguish classical controls (fine: they gate the whole operation) from
-/// quantum ones (only single positive controls of X and Z are Clifford here).
+/// Whether the stabilizer simulator accepts this gate: the bookkeeping
+/// gates, plus every gate the Clifford table ([`clifford::steps`]) expands,
+/// with each control typed by its wire's current type. A control on a wire
+/// of unknown type refuses.
 fn is_clifford(gate: &Gate, types: &HashMap<Wire, WireType>) -> bool {
     match gate {
         Gate::Comment { .. }
@@ -89,20 +74,11 @@ fn is_clifford(gate: &Gate, types: &HashMap<Wire, WireType>) -> bool {
         | Gate::QMeas { .. }
         | Gate::QDiscard { .. }
         | Gate::CDiscard { .. } => true,
-        Gate::QGate { name, controls, .. } => {
-            let (qpos, qneg, _cls) = split_controls(controls, types);
-            if qneg > 0 {
-                return false;
-            }
-            match name {
-                GateName::X | GateName::Z => qpos <= 1,
-                GateName::Y | GateName::H | GateName::S | GateName::V | GateName::Swap => qpos == 0,
-                GateName::T | GateName::W | GateName::Named(_) => false,
-            }
+        Gate::QGate { controls, .. } | Gate::GPhase { controls, .. } => {
+            controls.iter().all(|c| types.contains_key(&c.wire))
+                && clifford::steps(gate, |w| types.get(&w) == Some(&WireType::Quantum)).is_some()
         }
-        Gate::QRot { .. } | Gate::GPhase { .. } | Gate::CGate { .. } | Gate::Subroutine { .. } => {
-            false
-        }
+        Gate::QRot { .. } | Gate::CGate { .. } | Gate::Subroutine { .. } => false,
     }
 }
 

@@ -3,7 +3,7 @@
 //! the cheap simulator must agree with the exact state-vector reference.
 
 use proptest::prelude::*;
-use quipper::{Circ, Qubit};
+use quipper::{Circ, GateName, Qubit};
 use quipper_circuit::BCircuit;
 use quipper_exec::{Engine, EngineConfig, Job, OptLevel};
 
@@ -20,25 +20,36 @@ fn routing_engine() -> Engine {
 
 const QUBITS: usize = 3;
 
-/// One random Clifford instruction on a 3-qubit register.
+/// One random instruction from the Clifford table on a 3-qubit register.
+/// The 2q gates carry the control's polarity.
 #[derive(Clone, Copy, Debug)]
 enum CliffordOp {
     H(usize),
     S(usize),
+    SInv(usize),
     X(usize),
+    Y(usize),
     Z(usize),
-    Cnot(usize, usize),
+    VInv(usize),
+    Cnot(usize, usize, bool),
+    Cz(usize, usize, bool),
     Swap(usize, usize),
+    GPhase,
 }
 
 fn clifford_op() -> impl Strategy<Value = CliffordOp> {
     prop_oneof![
         (0..QUBITS).prop_map(CliffordOp::H),
         (0..QUBITS).prop_map(CliffordOp::S),
+        (0..QUBITS).prop_map(CliffordOp::SInv),
         (0..QUBITS).prop_map(CliffordOp::X),
+        (0..QUBITS).prop_map(CliffordOp::Y),
         (0..QUBITS).prop_map(CliffordOp::Z),
-        (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| CliffordOp::Cnot(a, b)),
+        (0..QUBITS).prop_map(CliffordOp::VInv),
+        (0..QUBITS, 0..QUBITS, any::<bool>()).prop_map(|(a, b, p)| CliffordOp::Cnot(a, b, p)),
+        (0..QUBITS, 0..QUBITS, any::<bool>()).prop_map(|(a, b, p)| CliffordOp::Cz(a, b, p)),
         (0..QUBITS, 0..QUBITS).prop_map(|(a, b)| CliffordOp::Swap(a, b)),
+        Just(CliffordOp::GPhase),
     ]
 }
 
@@ -54,11 +65,16 @@ fn clifford_circuit(ops: &[CliffordOp]) -> BCircuit {
         match op {
             CliffordOp::H(a) => c.hadamard(qs[a]),
             CliffordOp::S(a) => c.gate_s(qs[a]),
+            CliffordOp::SInv(a) => c.gate_inv(GateName::S, qs[a]),
             CliffordOp::X(a) => c.qnot(qs[a]),
+            CliffordOp::Y(a) => c.gate_y(qs[a]),
             CliffordOp::Z(a) => c.gate_z(qs[a]),
-            CliffordOp::Cnot(a, b) if a != b => c.cnot(qs[a], qs[b]),
+            CliffordOp::VInv(a) => c.gate_inv(GateName::V, qs[a]),
+            CliffordOp::Cnot(a, b, p) if a != b => c.qnot_ctrl(qs[a], &(qs[b], p)),
+            CliffordOp::Cz(a, b, p) if a != b => c.gate_ctrl(GateName::Z, qs[a], &(qs[b], p)),
             CliffordOp::Swap(a, b) if a != b => c.swap(qs[a], qs[b]),
-            CliffordOp::Cnot(..) | CliffordOp::Swap(..) => {}
+            CliffordOp::GPhase => c.gphase(0.25),
+            CliffordOp::Cnot(..) | CliffordOp::Cz(..) | CliffordOp::Swap(..) => {}
         }
     }
     let ms: Vec<_> = qs.into_iter().map(|q| c.measure_bit(q)).collect();

@@ -2,7 +2,8 @@
 //!
 //! This pass propagates *stabilizer generators* — signed Pauli strings that
 //! provably stabilize the current state — forward through each scope, using
-//! the exact Clifford conjugation tables in [`quipper_circuit::pauli`]. The
+//! the exact conjugation of [`quipper_circuit::pauli`], which reads the one
+//! Clifford table in [`quipper_circuit::clifford`]. The
 //! domain sees through Hadamards, which the basis-state domain in
 //! `analyze.rs` cannot: `H` maps the generator `Z` to `X` instead of going
 //! to ⊤.

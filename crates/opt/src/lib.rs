@@ -257,17 +257,6 @@ impl PassManager {
         PassManager { pipeline }
     }
 
-    /// The PR 6-era `Default` pipeline — cleanup, cancellation and merging
-    /// only, without phase-polynomial re-synthesis or Clifford pushing.
-    /// Kept as a benchmarking baseline so T-count improvements from the
-    /// newer passes are measured against a fixed reference.
-    pub fn baseline_default() -> PassManager {
-        use PassKind::*;
-        PassManager {
-            pipeline: vec![FactsCleanup, Cancel, Merge, FactsCleanup, Cancel],
-        }
-    }
-
     /// Whether the pipeline schedules no passes.
     pub fn is_empty(&self) -> bool {
         self.pipeline.is_empty()
@@ -775,12 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_pipeline_lacks_the_new_passes() {
-        let baseline = PassManager::baseline_default();
-        let names = baseline.pass_names();
-        assert!(!names.contains(&"opt.phasepoly"));
-        assert!(!names.contains(&"opt.clifford_push"));
-        // ... while the current Default has both.
+    fn default_pipeline_schedules_phasepoly_and_clifford_push() {
         let current = PassManager::for_level(OptLevel::Default).pass_names();
         assert!(current.contains(&"opt.phasepoly"));
         assert!(current.contains(&"opt.clifford_push"));

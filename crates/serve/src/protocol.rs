@@ -1,7 +1,8 @@
 //! The newline-delimited JSON wire protocol.
 //!
-//! Each request is one JSON object on one line; each response is one JSON
-//! object on one line. Requests name an operation via `"op"`:
+//! Each request is one JSON object on one line of at most
+//! [`MAX_LINE_BYTES`]; each response is one JSON object on one line.
+//! Requests name an operation via `"op"`:
 //!
 //! | op        | fields                                                        |
 //! |-----------|---------------------------------------------------------------|
@@ -311,6 +312,18 @@ pub fn handle_line(service: &Service, catalog: &Catalog, line: &str) -> Handled 
 /// Wire-level cap on inline OpenQASM submissions: bounded work per request
 /// line, well under the library's own ingestion cap.
 pub const MAX_QASM_BYTES: usize = 256 * 1024;
+
+/// Wire-level cap on one request line, newline excluded: room for a
+/// maximal inline program after JSON escaping. The server answers a longer
+/// line with [`line_too_long`] and closes the connection.
+pub const MAX_LINE_BYTES: usize = 4 * MAX_QASM_BYTES;
+
+/// The response to a request line over [`MAX_LINE_BYTES`].
+pub fn line_too_long() -> Handled {
+    err(&format!(
+        "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+    ))
+}
 
 /// Renders a diagnostics collection as a JSON array of
 /// `{code, severity, line, col, message}` objects.

@@ -3,11 +3,13 @@
 //! One listener thread accepts connections (non-blocking accept with a
 //! short poll sleep, so shutdown is prompt); each connection gets a thread
 //! reading request lines and writing response lines via
-//! [`crate::protocol::handle_line`]. The server is deliberately boring —
+//! [`crate::protocol::handle_line`]. A line longer than
+//! [`MAX_LINE_BYTES`] is refused and its connection closed, so a
+//! connection buffers at most that much. The server is deliberately boring —
 //! all scheduling intelligence lives in the [`Service`]; this layer only
 //! moves lines.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::catalog::Catalog;
-use crate::protocol::handle_line;
+use crate::protocol::{handle_line, line_too_long, MAX_LINE_BYTES};
 use crate::service::Service;
 
 /// A running NDJSON server over a [`Service`].
@@ -127,14 +129,24 @@ fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, sto
     let mut reader = BufReader::new(stream);
     // Raw bytes, not a `String`: `read_until` keeps whatever arrived before
     // a read timeout, where `read_line` drops a partial multi-byte
-    // character along with the error.
+    // character along with the error. Each read may take only up to one
+    // byte past `MAX_LINE_BYTES`, so the buffer stays bounded.
     let mut line = Vec::new();
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        match reader.read_until(b'\n', &mut line) {
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', &mut line) {
             Ok(0) if line.is_empty() => return, // client hung up
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                let response = line_too_long().response;
+                let _ = writer
+                    .write_all(response.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"))
+                    .and_then(|()| writer.flush());
+                return;
+            }
             Ok(_) => {
                 let request = match std::str::from_utf8(&line) {
                     Ok(text) if text.trim().is_empty() => None,
@@ -258,6 +270,42 @@ mod tests {
         reader.read_line(&mut response).unwrap();
         let json = parse_json(response.trim()).unwrap();
         assert_eq!(json.get("pong"), Some(&Json::Bool(true)), "{response}");
+        server.stop();
+        server.join();
+        service.shutdown();
+    }
+
+    /// A request line longer than `MAX_LINE_BYTES` is answered with one
+    /// structured error and the connection is closed, instead of being
+    /// buffered without bound; other connections are unaffected.
+    #[test]
+    fn an_overlong_request_line_is_refused_and_the_connection_closed() {
+        let service = Arc::new(Service::start(Engine::new(), ServiceConfig::default()));
+        let server = Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            Arc::new(Catalog::new()),
+        )
+        .unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer
+            .write_all(&vec![b'x'; crate::protocol::MAX_LINE_BYTES + 1])
+            .unwrap();
+        writer.flush().unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let json = parse_json(response.trim()).unwrap();
+        assert_eq!(json.get("ok"), Some(&Json::Bool(false)), "{response}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF");
+
+        let responses = client_round_trip(server.local_addr(), &[r#"{"op":"ping"}"#]);
+        assert_eq!(responses[0].get("pong"), Some(&Json::Bool(true)));
         server.stop();
         server.join();
         service.shutdown();

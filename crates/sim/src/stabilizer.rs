@@ -1,31 +1,31 @@
 //! Stabilizer (Clifford) simulation, after Aaronson & Gottesman's CHP.
 //!
 //! The analogue of Quipper's `run_clifford_generic` (paper §4.4.5): circuits
-//! built from Clifford gates (H, S, V, Pauli gates, CNOT, CZ, swap) and
-//! measurements are simulated in polynomial time using the stabilizer
-//! tableau representation, instead of the exponential state vector.
+//! from the Clifford fragment and measurements are simulated in polynomial
+//! time using the stabilizer tableau representation, instead of the
+//! exponential state vector. The fragment is the one table in
+//! [`quipper_circuit::clifford`]: [`CliffordSim`] looks each gate up there
+//! and replays its steps as [`Tableau`] generator updates, so it runs
+//! exactly what the engine's router sends it.
 //!
-//! Two tableau backends implement the same [`Tableau`] contract:
-//!
-//! * [`PackedTableau`] — the production representation. Each qubit column
-//!   stores its X and Z bits for all `2n` tableau rows as `u64` words, so
-//!   every Clifford generator updates 64 rows per instruction, and the
-//!   row-sum broadcast of a random measurement XORs the pivot row into all
-//!   affected rows one *word of rows* at a time. Phase (mod-4) arithmetic
-//!   runs on two bit-planes instead of per-row integers.
-//! * [`BoolTableau`] — the original one-`bool`-per-cell matrix, kept as the
-//!   executable specification the packed form is property-tested against.
-//!
-//! Both consume randomness in the same order, so a run is reproducible
-//! bit-for-bit across backends under the same seed.
+//! [`PackedTableau`] is the production representation. Each qubit column
+//! stores its X and Z bits for all `2n` tableau rows as `u64` words, so
+//! every Clifford generator updates 64 rows per instruction, and the
+//! row-sum broadcast of a random measurement XORs the pivot row into all
+//! affected rows one *word of rows* at a time. Phase (mod-4) arithmetic
+//! runs on two bit-planes instead of per-row integers. The [`Tableau`]
+//! trait lets tests run the same simulator over a one-`bool`-per-cell
+//! reference matrix; both consume randomness in the same order, so a run is
+//! reproducible bit-for-bit across backends under the same seed.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use quipper_circuit::clifford::{self, Step};
 use quipper_circuit::flatten::inline_all;
-use quipper_circuit::{BCircuit, Circuit, Gate, GateName, Wire, WireType};
+use quipper_circuit::{BCircuit, Circuit, Gate, Wire, WireType};
 
 use crate::error::SimError;
 
@@ -362,183 +362,12 @@ impl Tableau for PackedTableau {
 }
 
 // ---------------------------------------------------------------------------
-// Bool-matrix reference tableau
-
-/// One-`bool`-per-cell tableau: the executable specification. Kept for
-/// property tests; `x[i][q]`/`z[i][q]` index row `i` (destabilizers then
-/// stabilizers), column `q`.
-#[derive(Clone, Debug)]
-pub struct BoolTableau {
-    n: usize,
-    x: Vec<Vec<bool>>,
-    z: Vec<Vec<bool>>,
-    r: Vec<bool>,
-}
-
-impl BoolTableau {
-    /// The phase-exponent contribution of multiplying Paulis (the `g`
-    /// function of Aaronson & Gottesman).
-    fn g(x1: bool, z1: bool, x2: bool, z2: bool) -> i32 {
-        match (x1, z1) {
-            (false, false) => 0,
-            (true, true) => i32::from(z2) - i32::from(x2),
-            (true, false) => i32::from(z2) * (2 * i32::from(x2) - 1),
-            (false, true) => i32::from(x2) * (1 - 2 * i32::from(z2)),
-        }
-    }
-
-    fn rowsum_into(&mut self, h: usize, i: usize) {
-        let mut phase = 2 * i32::from(self.r[h]) + 2 * i32::from(self.r[i]);
-        for q in 0..self.n {
-            phase += Self::g(self.x[i][q], self.z[i][q], self.x[h][q], self.z[h][q]);
-        }
-        self.r[h] = phase.rem_euclid(4) == 2;
-        for q in 0..self.n {
-            self.x[h][q] ^= self.x[i][q];
-            self.z[h][q] ^= self.z[i][q];
-        }
-    }
-}
-
-impl Tableau for BoolTableau {
-    fn empty() -> Self {
-        BoolTableau {
-            n: 0,
-            x: Vec::new(),
-            z: Vec::new(),
-            r: Vec::new(),
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn grow(&mut self) -> usize {
-        let q = self.n;
-        self.n += 1;
-        for row in self.x.iter_mut().chain(self.z.iter_mut()) {
-            row.push(false);
-        }
-        // Insert a new destabilizer row at index n-1 (end of destabilizers)
-        // and a new stabilizer row at the very end.
-        let mut dx = vec![false; self.n];
-        dx[q] = true;
-        let dz = vec![false; self.n];
-        let sx = vec![false; self.n];
-        let mut sz = vec![false; self.n];
-        sz[q] = true;
-        self.x.insert(q, dx);
-        self.z.insert(q, dz);
-        self.r.insert(q, false);
-        self.x.push(sx);
-        self.z.push(sz);
-        self.r.push(false);
-        q
-    }
-
-    fn gate_h(&mut self, q: usize) {
-        for i in 0..2 * self.n {
-            let (xi, zi) = (self.x[i][q], self.z[i][q]);
-            self.r[i] ^= xi && zi;
-            self.x[i][q] = zi;
-            self.z[i][q] = xi;
-        }
-    }
-
-    fn gate_s(&mut self, q: usize) {
-        for i in 0..2 * self.n {
-            let (xi, zi) = (self.x[i][q], self.z[i][q]);
-            self.r[i] ^= xi && zi;
-            self.z[i][q] = zi ^ xi;
-        }
-    }
-
-    fn gate_x(&mut self, q: usize) {
-        for i in 0..2 * self.n {
-            self.r[i] ^= self.z[i][q];
-        }
-    }
-
-    fn gate_z(&mut self, q: usize) {
-        for i in 0..2 * self.n {
-            self.r[i] ^= self.x[i][q];
-        }
-    }
-
-    fn gate_cnot(&mut self, ctl: usize, tgt: usize) {
-        for i in 0..2 * self.n {
-            let (xa, za) = (self.x[i][ctl], self.z[i][ctl]);
-            let (xb, zb) = (self.x[i][tgt], self.z[i][tgt]);
-            self.r[i] ^= xa && zb && (xb == za);
-            self.x[i][tgt] = xb ^ xa;
-            self.z[i][ctl] = za ^ zb;
-        }
-    }
-
-    fn gate_cz(&mut self, a: usize, b: usize) {
-        // CZ = H(b) · CNOT(a→b) · H(b).
-        self.gate_h(b);
-        self.gate_cnot(a, b);
-        self.gate_h(b);
-    }
-
-    fn measure_slot(&mut self, q: usize, rng: &mut StdRng) -> (bool, bool) {
-        let n = self.n;
-        let p = (n..2 * n).find(|&i| self.x[i][q]);
-        match p {
-            Some(p) => {
-                // Random outcome.
-                let outcome = rng.gen::<bool>();
-                for i in 0..2 * n {
-                    if i != p && self.x[i][q] {
-                        self.rowsum_into(i, p);
-                    }
-                }
-                // Destabilizer row p-n := old stabilizer row p.
-                self.x[p - n] = self.x[p].clone();
-                self.z[p - n] = self.z[p].clone();
-                self.r[p - n] = self.r[p];
-                // Stabilizer row p := Z_q with sign = outcome.
-                for k in 0..n {
-                    self.x[p][k] = false;
-                    self.z[p][k] = false;
-                }
-                self.z[p][q] = true;
-                self.r[p] = outcome;
-                (outcome, false)
-            }
-            None => {
-                // Deterministic outcome: accumulate into a scratch row.
-                let mut sx = vec![false; n];
-                let mut sz = vec![false; n];
-                let mut sr = false;
-                for i in 0..n {
-                    if self.x[i][q] {
-                        // rowsum of scratch with stabilizer row i+n.
-                        let mut phase = 2 * i32::from(sr) + 2 * i32::from(self.r[i + n]);
-                        for k in 0..n {
-                            phase += Self::g(self.x[i + n][k], self.z[i + n][k], sx[k], sz[k]);
-                        }
-                        sr = phase.rem_euclid(4) == 2;
-                        for k in 0..n {
-                            sx[k] ^= self.x[i + n][k];
-                            sz[k] ^= self.z[i + n][k];
-                        }
-                    }
-                }
-                (sr, true)
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Clifford simulator over a tableau backend
 
 /// Clifford circuit simulator over a pluggable [`Tableau`] backend: wire
-/// bookkeeping, classical bits, slot reuse, and the gate → generator
-/// translation live here; the tableau does the linear algebra.
+/// bookkeeping, classical bits and slot reuse live here, the gate →
+/// generator translation is the Clifford table's, and the tableau does the
+/// linear algebra.
 #[derive(Clone, Debug)]
 pub struct CliffordSim<T> {
     tab: T,
@@ -614,10 +443,18 @@ impl<T: Tableau> CliffordSim<T> {
             .ok_or(SimError::UnknownWire { wire })
     }
 
-    fn gate_s_inv(&mut self, q: usize) {
-        self.tab.gate_s(q);
-        self.tab.gate_s(q);
-        self.tab.gate_s(q);
+    /// Applies one Clifford-table step to the tableau.
+    fn replay(&mut self, step: Step) -> Result<(), SimError> {
+        match step {
+            Step::X(w) => self.tab.gate_x(self.slot_of(w)?),
+            Step::Z(w) => self.tab.gate_z(self.slot_of(w)?),
+            Step::H(w) => self.tab.gate_h(self.slot_of(w)?),
+            Step::S(w) => self.tab.gate_s(self.slot_of(w)?),
+            Step::Cx(c, t) => self.tab.gate_cnot(self.slot_of(c)?, self.slot_of(t)?),
+            Step::Cz(a, b) => self.tab.gate_cz(self.slot_of(a)?, self.slot_of(b)?),
+            Step::Swap(a, b) => self.tab.gate_swap(self.slot_of(a)?, self.slot_of(b)?),
+        }
+        Ok(())
     }
 
     /// Executes one gate.
@@ -693,92 +530,24 @@ impl<T: Tableau> CliffordSim<T> {
                 .remove(wire)
                 .map(|_| ())
                 .ok_or(SimError::UnknownWire { wire: *wire }),
-            Gate::QGate {
-                name,
-                inverted,
-                targets,
-                controls,
-            } => {
-                // Classical controls gate the whole operation; quantum
-                // controls are only supported on X (CNOT) and Z (CZ).
-                let mut qctl: Vec<usize> = Vec::new();
-                for c in controls {
-                    if let Some(&slot) = self.slots.get(&c.wire) {
-                        if !c.positive {
-                            return Err(unsupported(gate));
-                        }
-                        qctl.push(slot);
-                    } else if let Some(&v) = self.classical.get(&c.wire) {
-                        if v != c.positive {
-                            return Ok(());
-                        }
-                    } else {
-                        return Err(SimError::UnknownWire { wire: c.wire });
+            Gate::QGate { controls, .. } | Gate::GPhase { controls, .. } => {
+                let steps = clifford::steps(gate, |w| self.slots.contains_key(&w))
+                    .ok_or_else(|| unsupported(gate))?;
+                // Classical controls gate the whole operation.
+                for c in controls
+                    .iter()
+                    .filter(|c| !self.slots.contains_key(&c.wire))
+                {
+                    match self.classical.get(&c.wire) {
+                        Some(&v) if v != c.positive => return Ok(()),
+                        Some(_) => {}
+                        None => return Err(SimError::UnknownWire { wire: c.wire }),
                     }
                 }
-                match (name, qctl.len()) {
-                    (GateName::X, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_x(t);
-                        Ok(())
-                    }
-                    (GateName::X, 1) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_cnot(qctl[0], t);
-                        Ok(())
-                    }
-                    (GateName::Z, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_z(t);
-                        Ok(())
-                    }
-                    (GateName::Z, 1) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_cz(qctl[0], t);
-                        Ok(())
-                    }
-                    (GateName::Y, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_z(t);
-                        self.tab.gate_x(t);
-                        Ok(())
-                    }
-                    (GateName::H, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_h(t);
-                        Ok(())
-                    }
-                    (GateName::S, 0) => {
-                        let t = self.slot_of(targets[0])?;
-                        if *inverted {
-                            self.gate_s_inv(t);
-                        } else {
-                            self.tab.gate_s(t);
-                        }
-                        Ok(())
-                    }
-                    (GateName::V, 0) => {
-                        // V = H·S·H exactly; V† = H·S†·H.
-                        let t = self.slot_of(targets[0])?;
-                        self.tab.gate_h(t);
-                        if *inverted {
-                            self.gate_s_inv(t);
-                        } else {
-                            self.tab.gate_s(t);
-                        }
-                        self.tab.gate_h(t);
-                        Ok(())
-                    }
-                    (GateName::Swap, 0) => {
-                        let a = self.slot_of(targets[0])?;
-                        let b = self.slot_of(targets[1])?;
-                        if a != b {
-                            self.tab.gate_swap(a, b);
-                        }
-                        Ok(())
-                    }
-                    _ => Err(unsupported(gate)),
+                for &step in steps.iter() {
+                    self.replay(step)?;
                 }
+                Ok(())
             }
             _ => Err(unsupported(gate)),
         }
@@ -816,7 +585,8 @@ pub fn run_clifford_flat(
 
 /// [`run_clifford_flat`] over an explicit tableau backend. Backends draw
 /// randomness in the same order, so results are seed-for-seed identical —
-/// the property the packed tableau is tested for against [`BoolTableau`].
+/// the property the packed tableau is tested for against a bool-matrix
+/// reference.
 ///
 /// # Errors
 ///
@@ -965,10 +735,6 @@ mod tests {
         for seed in 0..10 {
             let packed = run_clifford(&bc, &[false; N], seed).unwrap();
             assert!(packed.iter().all(|&b| b == packed[0]));
-            let flat = inline_all(&bc.db, &bc.main).unwrap();
-            let reference =
-                run_clifford_flat_tableau::<BoolTableau>(&flat, &[false; N], seed).unwrap();
-            assert_eq!(packed, reference, "backends diverge at seed {seed}");
         }
     }
 }

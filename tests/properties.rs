@@ -309,42 +309,56 @@ proptest! {
 // Simulator cross-validation on random Clifford circuits
 // ---------------------------------------------------------------------
 
-/// A random Clifford gate over n wires.
+/// A random gate from the Clifford table over n wires. The 2q gates carry
+/// the control's polarity.
 #[derive(Clone, Debug)]
 enum CGateOp {
     H(usize),
     S(usize),
+    SInv(usize),
     X(usize),
+    Y(usize),
     Z(usize),
     V(usize),
-    Cnot(usize, usize),
-    Cz(usize, usize),
+    VInv(usize),
+    Cnot(usize, usize, bool),
+    Cz(usize, usize, bool),
     Swap(usize, usize),
+    GPhase,
 }
 
 fn cgate_strategy(n: usize) -> impl Strategy<Value = CGateOp> {
     prop_oneof![
         (0..n).prop_map(CGateOp::H),
         (0..n).prop_map(CGateOp::S),
+        (0..n).prop_map(CGateOp::SInv),
         (0..n).prop_map(CGateOp::X),
+        (0..n).prop_map(CGateOp::Y),
         (0..n).prop_map(CGateOp::Z),
         (0..n).prop_map(CGateOp::V),
-        (0..n, 0..n).prop_map(|(a, b)| CGateOp::Cnot(a, b)),
-        (0..n, 0..n).prop_map(|(a, b)| CGateOp::Cz(a, b)),
+        (0..n).prop_map(CGateOp::VInv),
+        (0..n, 0..n, any::<bool>()).prop_map(|(a, b, p)| CGateOp::Cnot(a, b, p)),
+        (0..n, 0..n, any::<bool>()).prop_map(|(a, b, p)| CGateOp::Cz(a, b, p)),
         (0..n, 0..n).prop_map(|(a, b)| CGateOp::Swap(a, b)),
+        Just(CGateOp::GPhase),
     ]
 }
 
 fn emit_clifford(c: &mut Circ, qs: &[Qubit], g: &CGateOp) {
+    use quipper::GateName;
     match *g {
         CGateOp::H(a) => c.hadamard(qs[a]),
         CGateOp::S(a) => c.gate_s(qs[a]),
+        CGateOp::SInv(a) => c.gate_inv(GateName::S, qs[a]),
         CGateOp::X(a) => c.qnot(qs[a]),
+        CGateOp::Y(a) => c.gate_y(qs[a]),
         CGateOp::Z(a) => c.gate_z(qs[a]),
         CGateOp::V(a) => c.gate_v(qs[a]),
-        CGateOp::Cnot(a, b) if a != b => c.cnot(qs[a], qs[b]),
-        CGateOp::Cz(a, b) if a != b => c.gate_ctrl(quipper::GateName::Z, qs[a], &qs[b]),
+        CGateOp::VInv(a) => c.gate_inv(GateName::V, qs[a]),
+        CGateOp::Cnot(a, b, p) if a != b => c.qnot_ctrl(qs[a], &(qs[b], p)),
+        CGateOp::Cz(a, b, p) if a != b => c.gate_ctrl(GateName::Z, qs[a], &(qs[b], p)),
         CGateOp::Swap(a, b) if a != b => c.swap(qs[a], qs[b]),
+        CGateOp::GPhase => c.gphase(0.25),
         _ => {}
     }
 }

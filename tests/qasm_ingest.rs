@@ -71,6 +71,23 @@ fn parsed_goldens_pass_the_plan_pipeline() {
     }
 }
 
+/// A global phase is a Clifford operation, so the QASM-3 spellings
+/// fixture (h, cx, gphase, measure) routes to the tableau as written, not
+/// only once the optimizer has deleted its `gphase`.
+#[test]
+fn a_global_phase_keeps_a_clifford_program_on_the_tableau() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/qasm_corpus/ok_qasm3_spellings.qasm"
+    );
+    let bc = quipper_qasm::compile(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let engine = quipper_exec::Engine::with_config(quipper_exec::EngineConfig {
+        opt: quipper_exec::OptLevel::Off,
+        ..quipper_exec::EngineConfig::default()
+    });
+    assert_eq!(engine.select_backend(&bc).unwrap(), "stabilizer");
+}
+
 const QUBITS: usize = 4;
 
 const ANGLES: [f64; 6] = [
