@@ -23,13 +23,15 @@
 //! knobs:
 //!
 //! * `BENCH_QUICK=1` — small widths, fewer iterations, and hard asserts
-//!   that the kernel path beats the scan path *and* the blocked+SIMD path
-//!   beats the PR 2 kernel path on the mixed workload (the CI smoke);
+//!   that the kernel path beats the scan path, the blocked+SIMD path beats
+//!   the `pr2` kernel path on the mixed workload, and 8 shots from one
+//!   [`Prepared`] cost under half of 8 single-shot runs (the CI smoke);
 //! * `BENCH_ABLATION=1` — also time the mixed workload with blocking off,
 //!   SIMD off, and both off (the numbers quoted in EXPERIMENTS.md);
 //! * `BENCH_STATEVEC_WRITE=1` — rewrite `BENCH_statevec.json` at the repo
 //!   root with the measured numbers.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use quipper::classical::Dag;
@@ -39,9 +41,9 @@ use quipper_arith::qinttf::add_tf;
 use quipper_arith::{IntTF, QIntTF};
 use quipper_circuit::count::max_alive;
 use quipper_circuit::flatten::inline_all;
-use quipper_circuit::{BCircuit, Circuit};
-use quipper_sim::statevec::{run_flat_reference, run_flat_with, StateVecConfig};
-use quipper_sim::KernelStats;
+use quipper_circuit::{BCircuit, Circuit, Gate, WireType};
+use quipper_sim::statevec::{run_flat_reference, run_flat_with, run_fused, StateVecConfig};
+use quipper_sim::{fuse_circuit, KernelStats, Prepared};
 
 /// The mixed-gate workload: per layer, an H·T run on every wire (fusible),
 /// a CNOT ring, a Toffoli ladder, and R(2π/2ᵏ) rotations.
@@ -321,6 +323,42 @@ fn profiler_overhead_smoke() {
     );
 }
 
+/// Simulate-once-sample-many smoke: the mixed workload with every qubit
+/// measured at the end is all prefix, so 8 shots from one [`Prepared`] must
+/// cost under half of 8 single-shot runs. Fails if shots go back to
+/// re-simulating the circuit.
+fn prepared_shots_smoke(n: usize, layers: usize, iters: usize) {
+    const SHOTS: u64 = 8;
+    let bc = mixed(n, layers);
+    let mut flat = inline_all(&bc.db, &bc.main).unwrap();
+    for output in &mut flat.outputs {
+        flat.gates.push(Gate::QMeas { wire: output.0 });
+        output.1 = WireType::Classical;
+    }
+    let fused = fuse_circuit(&flat);
+    let inputs = vec![false; n];
+    let cfg = StateVecConfig::default();
+    let single = time(iters, || {
+        for seed in 0..SHOTS {
+            run_fused(&fused, &inputs, seed, cfg).unwrap();
+        }
+    });
+    let prepared = time(iters, || {
+        let prepared = Prepared::new(Cow::Borrowed(&fused), &inputs, cfg).unwrap();
+        for seed in 0..SHOTS {
+            prepared.shot(seed).unwrap();
+        }
+    });
+    let ratio = prepared.as_secs_f64() / single.as_secs_f64();
+    println!(
+        "prepared shots: {SHOTS} shots {prepared:.3?} vs {SHOTS} single-shot runs {single:.3?} ({ratio:.2}x)"
+    );
+    assert!(
+        ratio < 0.5,
+        "{SHOTS} prepared shots cost {ratio:.2}x of {SHOTS} single-shot runs; the prefix should run once"
+    );
+}
+
 fn fmt_opt_ms(d: Option<Duration>) -> String {
     match d {
         Some(d) => format!("{:.3?}", d),
@@ -474,6 +512,7 @@ fn main() {
         );
         tracing_overhead_smoke();
         profiler_overhead_smoke();
+        prepared_shots_smoke(mixed_n, mixed_layers, iters);
     }
 
     if env_on("BENCH_STATEVEC_WRITE") {

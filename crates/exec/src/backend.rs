@@ -11,7 +11,14 @@
 //!   universal; the only backend supporting *dynamic lifting* (paper §4.3).
 //! * [`CountingBackend`] — no simulation at all: resource estimation over the
 //!   hierarchical circuit (gate counts, peak width, depth).
+//!
+//! A job runs in two steps. [`Backend::prepare`] does the seed-independent
+//! work once: each simulator runs the circuit up to its first random op
+//! (the classical backend, which draws nothing, runs all of it). The
+//! returned [`PreparedShots`] then runs each shot from that state with the
+//! shot's own seed.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -19,7 +26,7 @@ use quipper::Lifter;
 use quipper_circuit::count::{self, GateCount, Peak};
 use quipper_circuit::BCircuit;
 use quipper_sim::{
-    run_classical_flat, run_clifford_flat, run_flat_with, run_fused, SimError, SimLifter,
+    pass_through, run_classical_flat, Prepared, PreparedClifford, SimError, SimLifter,
     StateVecConfig,
 };
 
@@ -42,11 +49,13 @@ pub struct Capabilities {
 }
 
 /// A run function behind a uniform interface: capability advertisement,
-/// admission check, and single-shot execution of a compiled [`Plan`].
+/// admission check, and execution of a compiled [`Plan`] as one
+/// [`prepare`](Backend::prepare) per job plus one
+/// [`shot`](PreparedShots::shot) per shot.
 ///
-/// Backends are stateless between shots — every per-shot state lives on the
-/// worker's stack — so one backend instance is shared (`Send + Sync`) across
-/// the engine's worker threads.
+/// Backends are stateless between jobs — a job's shared state lives in its
+/// [`PreparedShots`], each shot's on the worker's stack — so one backend
+/// instance is shared (`Send + Sync`) across the engine's worker threads.
 pub trait Backend: Send + Sync {
     /// Stable short name, used in reports and for explicit backend selection.
     fn name(&self) -> &'static str;
@@ -58,10 +67,19 @@ pub trait Backend: Send + Sync {
     /// `Err` carries a human-readable rejection reason.
     fn admit(&self, profile: &CircuitProfile) -> Result<(), String>;
 
-    /// Executes one shot of a compiled plan on basis-state `inputs`,
-    /// returning the circuit's output bits. `seed` drives any measurement
-    /// randomness; equal seeds give equal outcomes.
-    fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError>;
+    /// Does a job's seed-independent work once: runs `plan` on basis-state
+    /// `inputs` up to its first random op.
+    ///
+    /// # Errors
+    ///
+    /// Whatever that part of the run raises — the error every shot would
+    /// have raised — or [`ExecError::Unsupported`] for a backend that
+    /// cannot run shots.
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &[bool],
+    ) -> Result<Box<dyn PreparedShots + 'a>, ExecError>;
 
     /// A dynamic-lifting executor seeded with `seed`, if this backend
     /// supports interleaving circuit generation with execution.
@@ -70,8 +88,45 @@ pub trait Backend: Send + Sync {
     }
 }
 
+/// A job prepared by [`Backend::prepare`]. Shots only read it, so the
+/// engine's workers share one instance (`Sync`).
+pub trait PreparedShots: Sync {
+    /// Runs one shot, returning the circuit's output bits. `seed` drives
+    /// any measurement randomness; equal seeds give equal outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the rest of the run raises under this seed.
+    fn shot(&self, seed: u64) -> Result<Vec<bool>, ExecError>;
+}
+
 fn sim_err(backend: &'static str) -> impl Fn(SimError) -> ExecError {
     move |source| ExecError::Sim { backend, source }
+}
+
+impl PreparedShots for Prepared<'_> {
+    fn shot(&self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        // The engine admits only all-classical-output circuits to sampling,
+        // so this cannot hit `classical_outputs`' quantum-output panic.
+        Prepared::shot(self, seed)
+            .map(|result| result.classical_outputs())
+            .map_err(sim_err("statevec"))
+    }
+}
+
+impl PreparedShots for PreparedClifford<'_> {
+    fn shot(&self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        PreparedClifford::shot(self, seed).map_err(sim_err("stabilizer"))
+    }
+}
+
+/// A seed-independent run's output bits, returned by every shot.
+struct Fixed(Vec<bool>);
+
+impl PreparedShots for Fixed {
+    fn shot(&self, _seed: u64) -> Result<Vec<bool>, ExecError> {
+        Ok(self.0.clone())
+    }
 }
 
 /// Adapter over the exact state-vector simulator (`run_generic`): universal
@@ -121,18 +176,20 @@ impl Backend for StateVecBackend {
         Ok(())
     }
 
-    fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &[bool],
+    ) -> Result<Box<dyn PreparedShots + 'a>, ExecError> {
         // Replay the plan's pre-fused op stream (fused once at compile time)
         // unless fusion is disabled, in which case run the raw gate list.
-        let result = if self.config.fuse {
-            run_fused(&plan.fused, inputs, seed, self.config)
+        let ops = if self.config.fuse {
+            Cow::Borrowed(&plan.fused)
         } else {
-            run_flat_with(&plan.flat, inputs, seed, self.config)
-        }
-        .map_err(sim_err(self.name()))?;
-        // The engine admits only all-classical-output circuits to sampling,
-        // so this cannot hit `classical_outputs`' quantum-output panic.
-        Ok(result.classical_outputs())
+            Cow::Owned(pass_through(&plan.flat))
+        };
+        let prepared = Prepared::new(ops, inputs, self.config).map_err(sim_err(self.name()))?;
+        Ok(Box::new(prepared))
     }
 
     fn make_lifter(&self, seed: u64) -> Option<Rc<RefCell<dyn Lifter>>> {
@@ -167,8 +224,14 @@ impl Backend for ClassicalBackend {
         Ok(())
     }
 
-    fn run_shot(&self, plan: &Plan, inputs: &[bool], _seed: u64) -> Result<Vec<bool>, ExecError> {
-        run_classical_flat(&plan.flat, inputs).map_err(sim_err(self.name()))
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &[bool],
+    ) -> Result<Box<dyn PreparedShots + 'a>, ExecError> {
+        // Deterministic: one run answers every shot.
+        let bits = run_classical_flat(&plan.flat, inputs).map_err(sim_err(self.name()))?;
+        Ok(Box::new(Fixed(bits)))
     }
 }
 
@@ -198,8 +261,13 @@ impl Backend for StabilizerBackend {
         Ok(())
     }
 
-    fn run_shot(&self, plan: &Plan, inputs: &[bool], seed: u64) -> Result<Vec<bool>, ExecError> {
-        run_clifford_flat(&plan.flat, inputs, seed).map_err(sim_err(self.name()))
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a Plan,
+        inputs: &[bool],
+    ) -> Result<Box<dyn PreparedShots + 'a>, ExecError> {
+        let prepared = PreparedClifford::new(&plan.flat, inputs).map_err(sim_err(self.name()))?;
+        Ok(Box::<PreparedClifford>::new(prepared))
     }
 }
 
@@ -251,7 +319,11 @@ impl Backend for CountingBackend {
         Err("counting backend estimates resources; it cannot run shots".to_string())
     }
 
-    fn run_shot(&self, _plan: &Plan, _inputs: &[bool], _seed: u64) -> Result<Vec<bool>, ExecError> {
+    fn prepare<'a>(
+        &'a self,
+        _plan: &'a Plan,
+        _inputs: &[bool],
+    ) -> Result<Box<dyn PreparedShots + 'a>, ExecError> {
         Err(ExecError::Unsupported {
             backend: self.name(),
             what: "shot execution",

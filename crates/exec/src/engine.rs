@@ -3,8 +3,10 @@
 //! [`Engine`] fronts every run function behind one subsystem. A [`Job`]
 //! couples a circuit with inputs, a shot count and a base seed; the engine
 //! compiles the circuit through its [`PlanCache`], routes the plan to the
-//! cheapest capable [`Backend`], fans the shots out over a worker pool, and
-//! returns an [`ExecResult`] whose [`ExecReport`] records what happened.
+//! cheapest capable [`Backend`], prepares the job once (the seed-independent
+//! part of the run), fans the shots out over a worker pool that shares the
+//! prepared state, and returns an [`ExecResult`] whose [`ExecReport`]
+//! records what happened.
 //!
 //! # Determinism
 //!
@@ -27,7 +29,7 @@ use quipper_sim::{FuseStats, StateVecConfig};
 use quipper_trace::{fmt_duration, names, Phase, ProfileSummary, TraceSummary, Tracer};
 
 use crate::backend::{
-    Backend, ClassicalBackend, CountingBackend, ResourceEstimate, StabilizerBackend,
+    Backend, ClassicalBackend, CountingBackend, PreparedShots, ResourceEstimate, StabilizerBackend,
     StateVecBackend,
 };
 use crate::cancel::CancelToken;
@@ -568,28 +570,31 @@ impl Engine {
         }
 
         // A token that fired while the job was queued (or compiling) stops
-        // the job before any shot runs.
+        // the job before any simulation runs; it is polled again once the
+        // job is prepared.
         if let Some(token) = &job.cancel {
-            if let Err(reason) = token.check() {
-                if trace.enabled() {
-                    trace.metrics().add(names::EXEC_CANCELLED, 1);
-                }
-                return Err(ExecError::Cancelled { reason });
-            }
+            check_cancel(token, trace)?;
         }
 
         let workers = workers.clamp(1, job.shots.max(1) as usize);
-        let task = ShotTask {
-            backend,
-            plan: &plan,
-            inputs: &job.inputs,
-            base_seed: job.base_seed,
-            cancel: job.cancel.as_ref(),
-            trace,
-        };
         let start = Instant::now();
         let histogram = {
             let _span = trace.span(Phase::Execute, "shots");
+            // The seed-independent part of the run, once per job; the shot
+            // workers share it read-only.
+            let prepared = {
+                let _span = trace.span(Phase::Execute, "prefix");
+                backend.prepare(&plan, &job.inputs)?
+            };
+            if let Some(token) = &job.cancel {
+                check_cancel(token, trace)?;
+            }
+            let task = ShotTask {
+                prepared: &*prepared,
+                base_seed: job.base_seed,
+                cancel: job.cancel.as_ref(),
+                trace,
+            };
             if workers == 1 {
                 run_shots(&task, 0..job.shots).map_err(|(_, e)| e)?
             } else {
@@ -770,11 +775,19 @@ fn global_profile_counters() -> ProfileSummary {
     }
 }
 
+/// Fails with [`ExecError::Cancelled`] if `token` has fired.
+fn check_cancel(token: &CancelToken, trace: &Tracer) -> Result<(), ExecError> {
+    token.check().map_err(|reason| {
+        if trace.enabled() {
+            trace.metrics().add(names::EXEC_CANCELLED, 1);
+        }
+        ExecError::Cancelled { reason }
+    })
+}
+
 /// Everything a shot worker needs, shared read-only across workers.
 struct ShotTask<'a> {
-    backend: &'a dyn Backend,
-    plan: &'a Plan,
-    inputs: &'a [bool],
+    prepared: &'a dyn PreparedShots,
     base_seed: u64,
     cancel: Option<&'a CancelToken>,
     trace: &'a Tracer,
@@ -807,10 +820,7 @@ fn run_shots(task: &ShotTask, shots: std::ops::Range<u64>) -> Result<Histogram, 
             }
         }
         let shot_start = timed.then(Instant::now);
-        match task
-            .backend
-            .run_shot(task.plan, task.inputs, task.base_seed.wrapping_add(shot))
-        {
+        match task.prepared.shot(task.base_seed.wrapping_add(shot)) {
             Ok(bits) => *histogram.entry(bits).or_insert(0) += 1,
             Err(e) => return Err((shot, e)),
         }

@@ -7,9 +7,10 @@
 //! puts them all behind a single subsystem:
 //!
 //! * [`Backend`] — one run function with advertised [`Capabilities`] and an
-//!   admission check; adapters wrap the state-vector, classical and
-//!   stabilizer simulators, plus a [`CountingBackend`] for resource
-//!   estimation.
+//!   admission check, executed as one [`Backend::prepare`] per job (the
+//!   seed-independent prefix) plus one [`PreparedShots::shot`] per shot;
+//!   adapters wrap the state-vector, classical and stabilizer simulators,
+//!   plus a [`CountingBackend`] for resource estimation.
 //! * **Auto-selection** — each circuit is profiled once
 //!   ([`CircuitProfile`]) and routed to the cheapest capable backend:
 //!   classical-only circuits to the bit-per-wire simulator, Clifford-only
@@ -53,8 +54,8 @@ pub mod plan;
 pub mod profile;
 
 pub use backend::{
-    Backend, Capabilities, ClassicalBackend, CountingBackend, ResourceEstimate, StabilizerBackend,
-    StateVecBackend,
+    Backend, Capabilities, ClassicalBackend, CountingBackend, PreparedShots, ResourceEstimate,
+    StabilizerBackend, StateVecBackend,
 };
 pub use cancel::{CancelReason, CancelToken};
 pub use engine::{

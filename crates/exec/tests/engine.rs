@@ -6,7 +6,7 @@ use quipper::classical::Dag;
 use quipper::{Circ, Qubit};
 use quipper_algorithms::grover::{grover_circuit, optimal_iterations};
 use quipper_circuit::BCircuit;
-use quipper_exec::{Engine, EngineConfig, ExecError, Job, JobQueue, LintGate};
+use quipper_exec::{Backend, Engine, EngineConfig, ExecError, Job, JobQueue, LintGate};
 
 fn engine_with_workers(workers: usize) -> Engine {
     Engine::with_config(EngineConfig {
@@ -323,4 +323,53 @@ fn deny_warnings_engine_blocks_unprovable_assertions() {
         .opt
         .expect("default level reports the optimizer");
     assert!(opt.gates_before > opt.gates_after);
+}
+
+/// Mid-circuit measurement feeding classical control: a statevec job that
+/// prepares its prefix once and fans the shots out over four workers gives
+/// the sequential schedule's histogram.
+#[test]
+fn mid_circuit_histogram_is_identical_across_worker_counts() {
+    let bc = Circ::build(
+        &(false, false, false),
+        |c, (a, b, t): (Qubit, Qubit, Qubit)| {
+            c.hadamard(a);
+            c.gate_t(a);
+            c.hadamard(a);
+            c.cnot(b, a);
+            let ma = c.measure_bit(a);
+            c.with_controls(&ma, |c| c.hadamard(t));
+            c.rot("Ry(%)", 0.7, b);
+            c.cnot(t, b);
+            (ma, c.measure(b), c.measure(t))
+        },
+    );
+    let job = Job::new(&bc).inputs(vec![false; 3]).shots(200).seed(11);
+    let par = engine_with_workers(4).run(&job).unwrap();
+    let seq = engine_with_workers(4).run_sequential(&job).unwrap();
+    assert_eq!(par.report.backend, "statevec");
+    assert_eq!(par.report.workers, 4);
+    assert_eq!(par.histogram, seq.histogram);
+    assert!(par.histogram.len() > 1, "outcomes should vary");
+}
+
+/// The classical backend runs once per job and answers every shot with
+/// that run's bits: each shot equals a direct `run_classical_flat`.
+#[test]
+fn classical_shots_equal_direct_runs() {
+    let bc = parity3();
+    let plan = quipper_exec::PlanCache::new()
+        .get_or_compile(&bc)
+        .unwrap()
+        .0;
+    for bits in 0..16u32 {
+        let inputs: Vec<bool> = (0..4).map(|i| bits >> i & 1 == 1).collect();
+        let direct = quipper_sim::run_classical_flat(&plan.flat, &inputs).unwrap();
+        let prepared = quipper_exec::ClassicalBackend
+            .prepare(&plan, &inputs)
+            .unwrap();
+        for seed in [0, 1, u64::MAX] {
+            assert_eq!(prepared.shot(seed).unwrap(), direct, "inputs {inputs:?}");
+        }
+    }
 }

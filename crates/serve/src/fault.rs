@@ -1,5 +1,6 @@
 //! Seeded fault injection: a [`Backend`] wrapper that fails shots and adds
-//! latency spikes with configured probabilities.
+//! latency spikes with configured probabilities. Faults are drawn per shot,
+//! after the inner backend has prepared the job.
 //!
 //! The service's graceful-degradation story (retry, backoff, zero lost
 //! jobs) is only credible if it can be demonstrated under faults; this
@@ -13,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use quipper_exec::{Backend, Capabilities, CircuitProfile, EngineConfig, ExecError};
+use quipper_exec::{Backend, Capabilities, CircuitProfile, EngineConfig, ExecError, PreparedShots};
 use quipper_trace::names;
 
 use crate::unit_draw;
@@ -113,27 +114,16 @@ impl Backend for FaultInjector {
         self.inner.admit(profile)
     }
 
-    fn run_shot(
-        &self,
-        plan: &quipper_exec::Plan,
+    fn prepare<'a>(
+        &'a self,
+        plan: &'a quipper_exec::Plan,
         inputs: &[bool],
-        seed: u64,
-    ) -> Result<Vec<bool>, ExecError> {
-        let n = self.draws.fetch_add(1, Ordering::Relaxed);
-        let draw = unit_draw(self.config.seed ^ n.wrapping_mul(2));
-        if draw < self.config.fail_prob {
-            let k = self.injected.fetch_add(1, Ordering::Relaxed) + 1;
-            quipper_trace::count(names::SERVE_FAULTS_INJECTED, 1);
-            return Err(ExecError::Transient {
-                backend: self.inner.name(),
-                detail: format!("injected fault #{k}"),
-            });
-        }
-        if unit_draw(self.config.seed ^ n.wrapping_mul(2).wrapping_add(1)) < self.config.spike_prob
-        {
-            std::thread::sleep(self.config.spike);
-        }
-        self.inner.run_shot(plan, inputs, seed)
+    ) -> Result<Box<dyn PreparedShots + 'a>, ExecError> {
+        let inner = self.inner.prepare(plan, inputs)?;
+        Ok(Box::new(Faulty {
+            injector: self,
+            inner,
+        }))
     }
 
     fn make_lifter(
@@ -141,6 +131,35 @@ impl Backend for FaultInjector {
         seed: u64,
     ) -> Option<std::rc::Rc<std::cell::RefCell<dyn quipper::Lifter>>> {
         self.inner.make_lifter(seed)
+    }
+}
+
+/// A prepared job behind a [`FaultInjector`]: every shot first draws its
+/// fault and spike.
+struct Faulty<'a> {
+    injector: &'a FaultInjector,
+    inner: Box<dyn PreparedShots + 'a>,
+}
+
+impl PreparedShots for Faulty<'_> {
+    fn shot(&self, seed: u64) -> Result<Vec<bool>, ExecError> {
+        let injector = self.injector;
+        let n = injector.draws.fetch_add(1, Ordering::Relaxed);
+        let draw = unit_draw(injector.config.seed ^ n.wrapping_mul(2));
+        if draw < injector.config.fail_prob {
+            let k = injector.injected.fetch_add(1, Ordering::Relaxed) + 1;
+            quipper_trace::count(names::SERVE_FAULTS_INJECTED, 1);
+            return Err(ExecError::Transient {
+                backend: injector.inner.name(),
+                detail: format!("injected fault #{k}"),
+            });
+        }
+        if unit_draw(injector.config.seed ^ n.wrapping_mul(2).wrapping_add(1))
+            < injector.config.spike_prob
+        {
+            std::thread::sleep(injector.config.spike);
+        }
+        self.inner.shot(seed)
     }
 }
 
@@ -177,9 +196,10 @@ mod tests {
                 .unwrap()
                 .0
         };
+        let prepared = injector.prepare(&plan, &[true, false, false]).unwrap();
         let mut faults = 0;
         for shot in 0..400 {
-            match injector.run_shot(&plan, &[true, false, false], shot) {
+            match prepared.shot(shot) {
                 Ok(bits) => assert_eq!(bits, vec![true, false, true]),
                 Err(e) => {
                     assert!(e.is_transient(), "unexpected error {e}");
@@ -202,12 +222,9 @@ mod tests {
                 .get_or_compile(&parity())
                 .unwrap()
                 .0;
+            let prepared = injector.prepare(&plan, &[false, false, false]).unwrap();
             (0..64)
-                .map(|shot| {
-                    injector
-                        .run_shot(&plan, &[false, false, false], shot)
-                        .is_err()
-                })
+                .map(|shot| prepared.shot(shot).is_err())
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run());

@@ -325,6 +325,19 @@ pub fn line_too_long() -> Handled {
     ))
 }
 
+/// Cap on concurrently open connections, each served by its own thread.
+/// The server answers a connection over the cap with
+/// [`too_many_connections`] and closes it.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// The response to a connection over [`MAX_CONNECTIONS`], or one whose
+/// thread could not be started.
+pub fn too_many_connections() -> Handled {
+    err(&format!(
+        "server is at its limit of {MAX_CONNECTIONS} connections; closing this one, retry later"
+    ))
+}
+
 /// Renders a diagnostics collection as a JSON array of
 /// `{code, severity, line, col, message}` objects.
 fn diagnostics_json(diags: &quipper_qasm::Diagnostics) -> String {

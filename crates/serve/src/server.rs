@@ -3,9 +3,10 @@
 //! One listener thread accepts connections (non-blocking accept with a
 //! short poll sleep, so shutdown is prompt); each connection gets a thread
 //! reading request lines and writing response lines via
-//! [`crate::protocol::handle_line`]. A line longer than
-//! [`MAX_LINE_BYTES`] is refused and its connection closed, so a
-//! connection buffers at most that much. The server is deliberately boring —
+//! [`crate::protocol::handle_line`]. At most [`MAX_CONNECTIONS`] connections
+//! are open at once, and a line longer than [`MAX_LINE_BYTES`] is refused;
+//! either way the client gets one structured error and its connection is
+//! closed, so threads and buffered bytes stay bounded. The server is deliberately boring —
 //! all scheduling intelligence lives in the [`Service`]; this layer only
 //! moves lines.
 
@@ -17,7 +18,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::catalog::Catalog;
-use crate::protocol::{handle_line, line_too_long, MAX_LINE_BYTES};
+use crate::protocol::{
+    handle_line, line_too_long, too_many_connections, MAX_CONNECTIONS, MAX_LINE_BYTES,
+};
 use crate::service::Service;
 
 /// A running NDJSON server over a [`Service`].
@@ -95,26 +98,70 @@ fn accept_loop(
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
+                reap(&mut connections);
+                if connections.len() >= MAX_CONNECTIONS {
+                    refuse(stream);
+                    continue;
+                }
+                // A second handle to answer on if the thread cannot start
+                // (the spawn consumes the first).
+                let fallback = stream.try_clone();
                 let service = Arc::clone(&service);
                 let catalog = Arc::clone(&catalog);
                 let stop = Arc::clone(&stop);
-                connections.push(
-                    std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || serve_connection(stream, &service, &catalog, &stop))
-                        .expect("spawn connection thread"),
-                );
+                let spawned = std::thread::Builder::new()
+                    .name("serve-conn".into())
+                    .spawn(move || serve_connection(stream, &service, &catalog, &stop));
+                match (spawned, fallback) {
+                    (Ok(handle), _) => connections.push(handle),
+                    (Err(_), Ok(stream)) => refuse(stream),
+                    (Err(_), Err(_)) => {}
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }
-        connections.retain(|handle| !handle.is_finished());
+        reap(&mut connections);
     }
     for handle in connections {
-        let _ = handle.join();
+        join_connection(handle);
     }
+}
+
+/// Joins the connection threads that have finished.
+fn reap(connections: &mut Vec<JoinHandle<()>>) {
+    let (done, live) = std::mem::take(connections)
+        .into_iter()
+        .partition(|handle| handle.is_finished());
+    *connections = live;
+    for handle in done {
+        join_connection(handle);
+    }
+}
+
+/// Joins one connection thread, reporting a panic instead of dropping it.
+fn join_connection(handle: JoinHandle<()>) {
+    if let Err(panic) = handle.join() {
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        eprintln!("quipper-serve: a connection thread panicked: {message}");
+    }
+}
+
+/// Answers a connection the server will not serve with one structured
+/// error line, then closes it.
+fn refuse(mut stream: TcpStream) {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
+    let _ = stream
+        .write_all(too_many_connections().response.as_bytes())
+        .and_then(|()| stream.write_all(b"\n"))
+        .and_then(|()| stream.flush());
 }
 
 fn serve_connection(stream: TcpStream, service: &Service, catalog: &Catalog, stop: &AtomicBool) {
@@ -306,6 +353,62 @@ mod tests {
 
         let responses = client_round_trip(server.local_addr(), &[r#"{"op":"ping"}"#]);
         assert_eq!(responses[0].get("pong"), Some(&Json::Bool(true)));
+        server.stop();
+        server.join();
+        service.shutdown();
+    }
+
+    /// Connections beyond `MAX_CONNECTIONS` get one structured error and are
+    /// closed instead of each pinning another OS thread; once a connection
+    /// ends, a new client is served again.
+    #[test]
+    fn connections_over_the_cap_are_refused_and_closed() {
+        let service = Arc::new(Service::start(Engine::new(), ServiceConfig::default()));
+        let server = Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&service),
+            Arc::new(Catalog::new()),
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let mut held: Vec<TcpStream> = (0..crate::protocol::MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+
+        let extra = TcpStream::connect(addr).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(extra);
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        let json = parse_json(response.trim()).unwrap();
+        assert_eq!(json.get("ok"), Some(&Json::Bool(false)), "{response}");
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF");
+
+        // Freeing a slot lets the next client in (the accept loop reaps the
+        // finished thread before it counts).
+        drop(held.pop());
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            let json = parse_json(response.trim()).unwrap();
+            if json.get("pong") == Some(&Json::Bool(true)) {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "{response}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        drop(held);
         server.stop();
         server.join();
         service.shutdown();

@@ -160,6 +160,24 @@ pub fn segment_circuit(flat: &Circuit) -> FusedCircuit {
     )
 }
 
+/// Wraps a flattened circuit as an unfused op stream with no window
+/// segments: every gate is a pass-through op executed by the per-gate
+/// kernels. The run functions use it when [`crate::StateVecConfig::fuse`]
+/// is off.
+pub fn pass_through(flat: &Circuit) -> FusedCircuit {
+    let ops: Vec<FusedOp> = flat.gates.iter().cloned().map(FusedOp::Gate).collect();
+    let mut stats = classify_ops(&ops);
+    stats.gates_in = ops.len();
+    stats.gates_out = ops.len();
+    FusedCircuit {
+        inputs: flat.inputs.clone(),
+        outputs: flat.outputs.clone(),
+        ops,
+        segments: Vec::new(),
+        stats,
+    }
+}
+
 /// Fuses a flattened circuit with explicit pass selection.
 pub fn fuse_circuit_with(flat: &Circuit, opts: FuseOptions) -> FusedCircuit {
     let mut ops = if opts.merge_1q {

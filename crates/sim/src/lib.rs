@@ -29,19 +29,20 @@ mod window;
 pub use classical::{run_classical, run_classical_flat};
 pub use error::SimError;
 pub use fuse::{
-    fuse_circuit, fuse_circuit_with, segment_circuit, FuseOptions, FuseStats, FusedCircuit, FusedOp,
+    fuse_circuit, fuse_circuit_with, pass_through, segment_circuit, FuseOptions, FuseStats,
+    FusedCircuit, FusedOp,
 };
 pub use interactive::SimLifter;
 pub use kernels::KernelStats;
-pub use stabilizer::{run_clifford, run_clifford_flat};
+pub use stabilizer::{run_clifford, run_clifford_flat, PreparedClifford};
 pub use statevec::{
-    run, run_flat, run_flat_reference, run_flat_with, run_fused, ProfileStats, RunResult, StateVec,
-    StateVecConfig, PROFILE_SAMPLE_EVERY,
+    run, run_flat, run_flat_reference, run_flat_with, run_fused, Prepared, ProfileStats, RunResult,
+    StateVec, StateVecConfig, PROFILE_SAMPLE_EVERY,
 };
 
-// Send/Sync audit: the `quipper-exec` engine shares flattened circuits
-// across worker threads and moves per-shot simulator states and results
-// between them. If a non-thread-safe handle (`Rc`, `RefCell`, raw pointer)
+// Send/Sync audit: the `quipper-exec` engine shares flattened circuits and
+// prepared prefix states across worker threads and moves per-shot simulator
+// states and results between them. If a non-thread-safe handle (`Rc`, `RefCell`, raw pointer)
 // ever creeps into these types, fail the build here — at the declaration of
 // the contract — rather than deep inside the engine's generic bounds.
 const _: () = {
@@ -52,6 +53,8 @@ const _: () = {
     assert_send_sync::<quipper_circuit::Gate>();
     assert_send_sync::<quipper_circuit::BCircuit>();
     assert_send_sync::<FusedCircuit>();
+    assert_send_sync::<Prepared<'static>>();
+    assert_send_sync::<PreparedClifford<'static>>();
     // Moved between workers as per-shot state and results:
     assert_send::<StateVec>();
     assert_send::<statevec::RunResult>();

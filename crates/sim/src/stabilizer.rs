@@ -591,35 +591,82 @@ pub fn run_clifford_flat(
 /// # Errors
 ///
 /// As for [`run_clifford_flat`].
-pub fn run_clifford_flat_tableau<T: Tableau>(
+pub fn run_clifford_flat_tableau<T: Tableau + Clone>(
     flat: &Circuit,
     inputs: &[bool],
     seed: u64,
 ) -> Result<Vec<bool>, SimError> {
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut st: CliffordSim<T> = CliffordSim::new(seed);
-    for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-        st.add_input(w, t, v);
-    }
-    for gate in &flat.gates {
-        st.apply(gate)?;
-    }
-    let mut out = Vec::with_capacity(flat.outputs.len());
-    for &(w, t) in &flat.outputs {
-        match t {
-            WireType::Classical => out.push(
-                st.classical_value(w)
-                    .ok_or(SimError::UnknownWire { wire: w })?,
-            ),
-            WireType::Quantum => out.push(st.measure_wire(w)?),
+    PreparedClifford::<T>::new(flat, inputs)?.shot(seed)
+}
+
+/// A Clifford run split at its first random op (`QMeas` or `QDiscard`):
+/// the prefix has run once on one tableau, and each shot clones it and
+/// replays only the tail with its own seed. Prefix ops draw nothing from
+/// the RNG (a termination whose outcome would be random is an error), so
+/// shots are bit-identical, seed for seed, to whole-circuit runs.
+#[derive(Clone, Debug)]
+pub struct PreparedClifford<'c, T = PackedTableau> {
+    flat: &'c Circuit,
+    /// Index of the first random gate (`gates.len()` if there is none).
+    split: usize,
+    /// The simulator after the prefix.
+    sim: CliffordSim<T>,
+}
+
+impl<'c, T: Tableau + Clone> PreparedClifford<'c, T> {
+    /// Runs the prefix of `flat` on basis-state `inputs`.
+    ///
+    /// # Errors
+    ///
+    /// Input arity, and any error the prefix raises: the error every shot
+    /// of a whole-circuit run would have raised.
+    pub fn new(flat: &'c Circuit, inputs: &[bool]) -> Result<PreparedClifford<'c, T>, SimError> {
+        if inputs.len() != flat.inputs.len() {
+            return Err(SimError::InputArity {
+                expected: flat.inputs.len(),
+                found: inputs.len(),
+            });
         }
+        let split = flat
+            .gates
+            .iter()
+            .position(|g| matches!(g, Gate::QMeas { .. } | Gate::QDiscard { .. }))
+            .unwrap_or(flat.gates.len());
+        let mut sim: CliffordSim<T> = CliffordSim::new(0);
+        for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
+            sim.add_input(w, t, v);
+        }
+        for gate in &flat.gates[..split] {
+            sim.apply(gate)?;
+        }
+        Ok(PreparedClifford { flat, split, sim })
     }
-    Ok(out)
+
+    /// Runs one shot seeded with `seed` on a clone of the prefix tableau,
+    /// returning the outputs' values (quantum outputs are measured at the
+    /// end).
+    ///
+    /// # Errors
+    ///
+    /// Any error the tail raises under this seed.
+    pub fn shot(&self, seed: u64) -> Result<Vec<bool>, SimError> {
+        let mut st = self.sim.clone();
+        st.rng = StdRng::seed_from_u64(seed);
+        for gate in &self.flat.gates[self.split..] {
+            st.apply(gate)?;
+        }
+        let mut out = Vec::with_capacity(self.flat.outputs.len());
+        for &(w, t) in &self.flat.outputs {
+            match t {
+                WireType::Classical => out.push(
+                    st.classical_value(w)
+                        .ok_or(SimError::UnknownWire { wire: w })?,
+                ),
+                WireType::Quantum => out.push(st.measure_wire(w)?),
+            }
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,12 @@
 //! The analogue of Quipper's `run_generic` (paper §4.4.5) — "necessarily
 //! inefficient on a classical computer", i.e. exponential in the number of
 //! live qubits, but exact. The simulator allocates qubit slots dynamically
-//! as `QInit` gates execute and reclaims them on termination or measurement,
-//! so the cost tracks the circuit's *width* (live qubits), not the total
-//! number of wires — scoped ancillas (paper §4.2.1) pay only while in scope.
+//! as `QInit` gates execute (a new top slot doubles the vector) and drops
+//! them on termination or measurement: the state is projected onto the
+//! outcome and compacted to the half where the slot holds it, so the
+//! vector always spans exactly the live qubits. The cost tracks the
+//! circuit's *width*, not the total number of wires — scoped ancillas
+//! (paper §4.2.1) pay only while in scope.
 //!
 //! Amplitude updates go through the kernel layer in [`crate::kernels`]
 //! (pair-stride iteration, diagonal/permutation specialization, controlled
@@ -14,7 +17,15 @@
 //! [`crate::fuse`]. Both are governed by [`StateVecConfig`]; the
 //! pre-kernel full-scan path survives as [`StateVec::reference`] /
 //! [`run_flat_reference`] for property tests and benchmarks.
+//!
+//! Every run goes through [`Prepared`]: the op stream is split at its first
+//! random op (`QMeas` or `QDiscard`), the measurement-free prefix runs once,
+//! and each shot replays only the tail with its own seed. A shot reads the
+//! shared prefix state through a pending projection and copies the live
+//! sub-cube only when a tail op writes amplitudes. The prefix draws nothing
+//! from the RNG, so outcomes are seed-for-seed those of a whole-circuit run.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
@@ -25,7 +36,7 @@ use quipper_circuit::{BCircuit, Circuit, Control, Gate, GateName, Wire, WireType
 
 use crate::complex::{Complex, ONE, ZERO};
 use crate::error::SimError;
-use crate::fuse::{fuse_circuit_with, FuseOptions, FusedCircuit, FusedOp};
+use crate::fuse::{fuse_circuit_with, pass_through, FuseOptions, FusedCircuit, FusedOp, Segment};
 use crate::kernels::{self, KernelClass, KernelCtx, KernelStats, Mat2};
 use crate::simd;
 use crate::window::{self, WinGate};
@@ -147,6 +158,15 @@ fn prof_class(g: &WinGate) -> usize {
 }
 
 impl ProfileStats {
+    /// Adds another accumulator into this one.
+    pub fn merge(&mut self, other: &ProfileStats) {
+        self.windows_sampled += other.windows_sampled;
+        self.sampled_ns += other.sampled_ns;
+        for (slot, ns) in self.class_ns.iter_mut().zip(other.class_ns) {
+            *slot += ns;
+        }
+    }
+
     fn attribute(&mut self, win: &[WinGate], elapsed_ns: u64) {
         self.windows_sampled += 1;
         self.sampled_ns += elapsed_ns;
@@ -168,11 +188,9 @@ impl ProfileStats {
 /// classical-bit store.
 #[derive(Debug)]
 pub struct StateVec {
+    /// `2^live` amplitudes; bit `s` of an index is the value of slot `s`.
     amps: Vec<Complex>,
-    n_slots: usize,
     slots: HashMap<Wire, usize>,
-    /// Freed slots together with the definite value they were left in.
-    free: Vec<(usize, bool)>,
     classical: HashMap<Wire, bool>,
     rng: StdRng,
     config: StateVecConfig,
@@ -196,9 +214,7 @@ impl StateVec {
     pub fn with_config(seed: u64, config: StateVecConfig) -> StateVec {
         StateVec {
             amps: vec![ONE],
-            n_slots: 0,
             slots: HashMap::new(),
-            free: Vec::new(),
             classical: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             config,
@@ -235,11 +251,11 @@ impl StateVec {
         self.prof
     }
 
-    /// The raw amplitude vector (length `2^live_slots`), for tests and
+    /// The raw amplitude vector (length `2^live_qubits`), for tests and
     /// benchmarks that compare states across execution paths.
     ///
     /// The wire→slot assignment is execution-history dependent (allocation
-    /// order, recycling, swap relabeling), so raw vectors from *different*
+    /// order, compaction, swap relabeling), so raw vectors from *different*
     /// circuits or configurations are generally not comparable index by
     /// index — use [`canonical_amplitudes`](Self::canonical_amplitudes)
     /// for that.
@@ -248,22 +264,15 @@ impl StateVec {
     }
 
     /// The amplitude vector re-indexed to a canonical basis: live quantum
-    /// wires sorted by wire id become bits 0, 1, … of the index, and freed
-    /// slots (which hold definite parked values) are projected out. Two
+    /// wires sorted by wire id become bits 0, 1, … of the index. Two
     /// simulations of equivalent circuits agree on this vector up to global
     /// phase and rounding, regardless of slot assignment or relabeling.
     pub fn canonical_amplitudes(&self) -> Vec<Complex> {
         let mut live: Vec<(Wire, usize)> = self.slots.iter().map(|(&w, &s)| (w, s)).collect();
         live.sort_by_key(|&(w, _)| w);
-        let mut base = 0usize;
-        for &(slot, val) in &self.free {
-            if val {
-                base |= 1usize << slot;
-            }
-        }
         let mut out = vec![ZERO; 1usize << live.len()];
         for (j, out_amp) in out.iter_mut().enumerate() {
-            let mut i = base;
+            let mut i = 0;
             for (k, &(_, slot)) in live.iter().enumerate() {
                 if j & (1usize << k) != 0 {
                     i |= 1usize << slot;
@@ -302,7 +311,12 @@ impl StateVec {
             .slots
             .get(&wire)
             .expect("probability: wire is not a live qubit");
-        self.slot_probability(slot, value)
+        let (p0, p1) = self.slot_probabilities(slot);
+        if value {
+            p1
+        } else {
+            p0
+        }
     }
 
     /// The joint probability of a basis pattern over several wires.
@@ -326,12 +340,19 @@ impl StateVec {
     /// Measures a live quantum wire, collapsing the state. The wire becomes
     /// a classical wire holding the outcome.
     pub fn measure(&mut self, wire: Wire) -> Result<bool, SimError> {
-        let slot = self.take_slot(wire)?;
-        let p1 = self.slot_probability(slot, true);
-        let outcome = self.rng.gen::<f64>() < p1;
-        self.project(slot, outcome);
-        self.free.push((slot, outcome));
+        let outcome = self.collapse(wire, None)?;
         self.classical.insert(wire, outcome);
+        Ok(outcome)
+    }
+
+    /// Measures `wire` (sampling the outcome) or, with `asserted`, checks a
+    /// termination assertion, then projects onto the outcome and drops the
+    /// wire's slot. Returns the outcome.
+    fn collapse(&mut self, wire: Wire, asserted: Option<bool>) -> Result<bool, SimError> {
+        let slot = self.take_slot(wire)?;
+        let (p0, p1) = self.slot_probabilities(slot);
+        let (outcome, norm) = decide(wire, asserted, p0, p1, &mut self.rng)?;
+        self.project_out(slot, outcome, norm);
         Ok(outcome)
     }
 
@@ -342,10 +363,7 @@ impl StateVec {
     }
 
     fn slot_of(&self, wire: Wire) -> Result<usize, SimError> {
-        self.slots
-            .get(&wire)
-            .copied()
-            .ok_or(SimError::UnknownWire { wire })
+        slot_of(&self.slots, wire)
     }
 
     fn kernel_ctx(&self) -> KernelCtx {
@@ -358,58 +376,53 @@ impl StateVec {
         }
     }
 
-    /// Probability of `slot` reading as `value`, summed block-wise over the
-    /// target halves — visits the matching amplitudes in the same ascending
-    /// order as a full scan, so the sum is bit-identical to the scan's.
-    fn slot_probability(&self, slot: usize, value: bool) -> f64 {
+    /// Probabilities of `slot` reading 0 and 1, each summed over its half in
+    /// ascending index order: the order of a full scan, so each sum is
+    /// bit-identical to the scan's, and the sum for the outcome is also the
+    /// norm the projection renormalizes by.
+    fn slot_probabilities(&self, slot: usize) -> (f64, f64) {
         let bit = 1usize << slot;
-        let mut p = 0.0;
+        let (mut p0, mut p1) = (0.0, 0.0);
         for block in self.amps.chunks_exact(2 * bit) {
-            let half = if value { &block[bit..] } else { &block[..bit] };
-            for a in half {
-                p += a.norm_sqr();
+            for a in &block[..bit] {
+                p0 += a.norm_sqr();
+            }
+            for a in &block[bit..] {
+                p1 += a.norm_sqr();
             }
         }
-        p
+        (p0, p1)
     }
 
-    /// Projects `slot` onto `value` and renormalizes. Block-wise like
-    /// [`slot_probability`](Self::slot_probability), with the same
-    /// ascending-order norm sum.
-    fn project(&mut self, slot: usize, value: bool) {
-        let bit = 1usize << slot;
-        let mut norm = 0.0;
-        for block in self.amps.chunks_exact_mut(2 * bit) {
-            let (lo, hi) = block.split_at_mut(bit);
-            let (keep, zap) = if value { (hi, lo) } else { (lo, hi) };
-            for a in zap {
-                *a = ZERO;
-            }
-            for a in keep {
-                norm += a.norm_sqr();
-            }
-        }
+    /// Projects `slot` onto `value`, renormalizes by `norm` (the outcome's
+    /// probability) and drops the slot: the kept half compacts in place and
+    /// the slots above move down by one.
+    fn project_out(&mut self, slot: usize, value: bool, norm: f64) {
         let k = 1.0 / norm.sqrt();
-        for a in &mut self.amps {
-            *a = a.scale(k);
+        let bit = 1usize << slot;
+        let keep = if value { bit } else { 0 };
+        let half = self.amps.len() / 2;
+        // Destination `j` reads source `i >= j`, so ascending order never
+        // overwrites an amplitude before it is read.
+        for j in 0..half {
+            let i = (j & (bit - 1)) | ((j & !(bit - 1)) << 1) | keep;
+            self.amps[j] = self.amps[i].scale(k);
+        }
+        self.amps.truncate(half);
+        for s in self.slots.values_mut() {
+            if *s > slot {
+                *s -= 1;
+            }
         }
     }
 
     fn alloc_slot(&mut self, value: bool) -> usize {
-        // Live qubits after this allocation: allocated slots minus free ones,
-        // plus the slot being handed out (from the free list or by growing).
+        // Live qubits after this allocation, including the one handed out.
         quipper_trace::record_max(
             quipper_trace::names::LIVE_QUBITS_PEAK,
-            (self.n_slots - self.free.len() + 1) as u64,
+            (self.slots.len() + 1) as u64,
         );
-        if let Some((slot, cur)) = self.free.pop() {
-            if cur != value {
-                self.flip_slot(slot);
-            }
-            return slot;
-        }
-        let slot = self.n_slots;
-        self.n_slots += 1;
+        let slot = self.amps.len().trailing_zeros() as usize;
         // Double the amplitude vector in place; the new qubit is |0⟩ (upper
         // half zero), so growing with ZERO is the whole job.
         let len = self.amps.len();
@@ -433,25 +446,7 @@ impl StateVec {
     /// verdict. Returns `None` if a classical control is unsatisfied (gate
     /// is a no-op).
     fn resolve_controls(&self, controls: &[Control]) -> Result<Option<(usize, usize)>, SimError> {
-        // (mask, want): indices i fire iff i & mask == want.
-        let mut mask = 0usize;
-        let mut want = 0usize;
-        for c in controls {
-            if let Some(&slot) = self.slots.get(&c.wire) {
-                let bit = 1usize << slot;
-                mask |= bit;
-                if c.positive {
-                    want |= bit;
-                }
-            } else if let Some(&v) = self.classical.get(&c.wire) {
-                if v != c.positive {
-                    return Ok(None);
-                }
-            } else {
-                return Err(SimError::UnknownWire { wire: c.wire });
-            }
-        }
-        Ok(Some((mask, want)))
+        resolve_controls(&self.slots, &self.classical, controls)
     }
 
     /// Applies a classified 2×2 matrix to `slot` under `(mask, want)`,
@@ -523,43 +518,17 @@ impl StateVec {
     /// Returns an error for unsupported gates, unknown wires or violated
     /// termination assertions.
     pub fn apply(&mut self, gate: &Gate) -> Result<(), SimError> {
+        if let Some(result) = apply_classical(&mut self.classical, gate) {
+            return result;
+        }
         match gate {
-            Gate::Comment { .. } => Ok(()),
             Gate::QInit { value, wire } => {
                 let slot = self.alloc_slot(*value);
                 self.slots.insert(*wire, slot);
                 Ok(())
             }
-            Gate::CInit { value, wire } => {
-                self.classical.insert(*wire, *value);
-                Ok(())
-            }
             Gate::QTerm { value, wire } => {
-                let slot = self.take_slot(*wire)?;
-                let p = self.slot_probability(slot, *value);
-                if 1.0 - p > EPS {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: p,
-                    });
-                }
-                self.project(slot, *value);
-                self.free.push((slot, *value));
-                Ok(())
-            }
-            Gate::CTerm { value, wire } => {
-                let v = self
-                    .classical
-                    .remove(wire)
-                    .ok_or(SimError::UnknownWire { wire: *wire })?;
-                if v != *value {
-                    return Err(SimError::AssertionFailed {
-                        wire: *wire,
-                        asserted: *value,
-                        probability: 0.0,
-                    });
-                }
+                self.collapse(*wire, Some(*value))?;
                 Ok(())
             }
             Gate::QMeas { wire } => {
@@ -569,18 +538,9 @@ impl StateVec {
             Gate::QDiscard { wire } => {
                 // Discarding is measuring and forgetting the outcome: on a
                 // pure-state simulator we sample.
-                let slot = self.take_slot(*wire)?;
-                let p1 = self.slot_probability(slot, true);
-                let outcome = self.rng.gen::<f64>() < p1;
-                self.project(slot, outcome);
-                self.free.push((slot, outcome));
+                self.collapse(*wire, None)?;
                 Ok(())
             }
-            Gate::CDiscard { wire } => self
-                .classical
-                .remove(wire)
-                .map(|_| ())
-                .ok_or(SimError::UnknownWire { wire: *wire }),
             Gate::QGate {
                 name,
                 inverted,
@@ -679,41 +639,44 @@ impl StateVec {
                 }
                 Ok(())
             }
-            Gate::CGate {
-                name,
-                inverted,
-                target,
-                inputs,
-            } => {
-                let mut vals = Vec::with_capacity(inputs.len());
-                for w in inputs {
-                    vals.push(
-                        *self
-                            .classical
-                            .get(w)
-                            .ok_or(SimError::UnknownWire { wire: *w })?,
-                    );
-                }
-                let v = match &**name {
-                    "xor" => vals.iter().fold(false, |a, &b| a ^ b),
-                    "and" => vals.iter().all(|&b| b),
-                    "or" => vals.iter().any(|&b| b),
-                    "not" => !vals.first().copied().unwrap_or(false),
-                    _ => {
-                        return Err(SimError::UnsupportedGate {
-                            gate: gate.describe(),
-                            simulator: "state-vector",
-                        })
-                    }
-                };
-                self.classical.insert(*target, v ^ inverted);
-                Ok(())
-            }
             Gate::Subroutine { .. } => Err(SimError::UnsupportedGate {
                 gate: "Subroutine (inline boxed subcircuits before simulating)".into(),
                 simulator: "state-vector",
             }),
+            Gate::Comment { .. }
+            | Gate::CInit { .. }
+            | Gate::CTerm { .. }
+            | Gate::CDiscard { .. }
+            | Gate::CGate { .. } => unreachable!("classical gates run in apply_classical"),
         }
+    }
+
+    /// Executes `fused.ops[start..end]`: planned window segments through the
+    /// blocked executor (when windows are on), everything else op by op.
+    /// `start` may fall inside a segment; its remainder runs as a window.
+    fn run_ops(&mut self, fused: &FusedCircuit, start: usize, end: usize) -> Result<(), SimError> {
+        let segments: &[Segment] = if self.config.window {
+            &fused.segments
+        } else {
+            &[]
+        };
+        let mut next = segments.partition_point(|seg| seg.end <= start);
+        let mut i = start;
+        while i < end {
+            match segments.get(next) {
+                Some(seg) if seg.start <= i => {
+                    let stop = seg.end.min(end);
+                    self.exec_segment(&fused.ops[i..stop])?;
+                    i = stop;
+                    next += 1;
+                }
+                _ => {
+                    self.apply_fused(&fused.ops[i])?;
+                    i += 1;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Executes a window segment (a run of ops [`crate::fuse`] marked
@@ -963,6 +926,126 @@ impl StateVec {
     }
 }
 
+fn slot_of(slots: &HashMap<Wire, usize>, wire: Wire) -> Result<usize, SimError> {
+    slots
+        .get(&wire)
+        .copied()
+        .ok_or(SimError::UnknownWire { wire })
+}
+
+/// Splits the controls into a quantum bitmask test `(mask, want)` (indices
+/// `i` fire iff `i & mask == want`) and a classical verdict. Returns `None`
+/// if a classical control is unsatisfied (the gate is a no-op).
+fn resolve_controls(
+    slots: &HashMap<Wire, usize>,
+    classical: &HashMap<Wire, bool>,
+    controls: &[Control],
+) -> Result<Option<(usize, usize)>, SimError> {
+    let mut mask = 0usize;
+    let mut want = 0usize;
+    for c in controls {
+        if let Some(&slot) = slots.get(&c.wire) {
+            let bit = 1usize << slot;
+            mask |= bit;
+            if c.positive {
+                want |= bit;
+            }
+        } else if let Some(&v) = classical.get(&c.wire) {
+            if v != c.positive {
+                return Ok(None);
+            }
+        } else {
+            return Err(SimError::UnknownWire { wire: c.wire });
+        }
+    }
+    Ok(Some((mask, want)))
+}
+
+/// Executes a gate that touches only classical bits (or nothing at all);
+/// `None` for a gate that touches qubits.
+fn apply_classical(
+    classical: &mut HashMap<Wire, bool>,
+    gate: &Gate,
+) -> Option<Result<(), SimError>> {
+    Some(match gate {
+        Gate::Comment { .. } => Ok(()),
+        Gate::CInit { value, wire } => {
+            classical.insert(*wire, *value);
+            Ok(())
+        }
+        Gate::CTerm { value, wire } => match classical.remove(wire) {
+            None => Err(SimError::UnknownWire { wire: *wire }),
+            Some(v) if v != *value => Err(SimError::AssertionFailed {
+                wire: *wire,
+                asserted: *value,
+                probability: 0.0,
+            }),
+            Some(_) => Ok(()),
+        },
+        Gate::CDiscard { wire } => classical
+            .remove(wire)
+            .map(|_| ())
+            .ok_or(SimError::UnknownWire { wire: *wire }),
+        Gate::CGate {
+            name,
+            inverted,
+            target,
+            inputs,
+        } => {
+            let mut vals = Vec::with_capacity(inputs.len());
+            for w in inputs {
+                match classical.get(w) {
+                    Some(&v) => vals.push(v),
+                    None => return Some(Err(SimError::UnknownWire { wire: *w })),
+                }
+            }
+            let v = match &**name {
+                "xor" => vals.iter().fold(false, |a, &b| a ^ b),
+                "and" => vals.iter().all(|&b| b),
+                "or" => vals.iter().any(|&b| b),
+                "not" => !vals.first().copied().unwrap_or(false),
+                _ => {
+                    return Some(Err(SimError::UnsupportedGate {
+                        gate: gate.describe(),
+                        simulator: "state-vector",
+                    }))
+                }
+            };
+            classical.insert(*target, v ^ inverted);
+            Ok(())
+        }
+        _ => return None,
+    })
+}
+
+/// Picks the outcome of collapsing `wire`, whose slot reads 0 and 1 with
+/// probabilities `p0` and `p1`: an asserted value must hold up to [`EPS`],
+/// otherwise one RNG draw samples the outcome. Returns the outcome and its
+/// probability, the norm the projection renormalizes by.
+fn decide(
+    wire: Wire,
+    asserted: Option<bool>,
+    p0: f64,
+    p1: f64,
+    rng: &mut StdRng,
+) -> Result<(bool, f64), SimError> {
+    let outcome = match asserted {
+        Some(value) => {
+            let p = if value { p1 } else { p0 };
+            if 1.0 - p > EPS {
+                return Err(SimError::AssertionFailed {
+                    wire,
+                    asserted: value,
+                    probability: p,
+                });
+            }
+            value
+        }
+        None => rng.gen::<f64>() < p1,
+    };
+    Ok((outcome, if outcome { p1 } else { p0 }))
+}
+
 /// What a window-eligible op resolved to.
 enum Resolved {
     /// No-op here (comment, or an unsatisfied classical control).
@@ -1077,13 +1160,10 @@ pub fn run(bc: &BCircuit, inputs: &[bool], seed: u64) -> Result<RunResult, SimEr
 /// Runs an already-flattened circuit (no subroutine calls) for one shot,
 /// with the default configuration.
 ///
-/// This is the reusable single-shot entry point: callers that execute the
-/// same circuit many times (shot loops, the `quipper-exec` engine) inline
-/// once and replay the flat gate list per shot, rather than paying
-/// flattening per run. The flat circuit is only read, so shots can run
-/// concurrently over one shared `&Circuit`. (Shot loops should prefer
-/// [`crate::fuse::fuse_circuit`] + [`run_fused`] so the fusion pass also
-/// runs once, not per shot.)
+/// Callers that execute the same circuit many times (shot loops, the
+/// `quipper-exec` engine) should instead fuse once and build one
+/// [`Prepared`], which runs the measurement-free prefix once and replays
+/// only the tail per [`Prepared::shot`].
 ///
 /// # Errors
 ///
@@ -1092,7 +1172,9 @@ pub fn run_flat(flat: &Circuit, inputs: &[bool], seed: u64) -> Result<RunResult,
     run_flat_with(flat, inputs, seed, StateVecConfig::default())
 }
 
-/// Runs an already-flattened circuit with an explicit configuration.
+/// Runs an already-flattened circuit with an explicit configuration: fused
+/// per the configuration (or as the unfused pass-through stream), then one
+/// [`Prepared::into_shot`].
 ///
 /// # Errors
 ///
@@ -1103,43 +1185,27 @@ pub fn run_flat_with(
     seed: u64,
     config: StateVecConfig,
 ) -> Result<RunResult, SimError> {
-    if config.fuse {
-        let fused = fuse_circuit_with(
+    let fused = if config.fuse {
+        fuse_circuit_with(
             flat,
             FuseOptions {
                 merge_1q: true,
                 merge_2q: config.fuse_2q,
             },
-        );
-        return run_fused(&fused, inputs, seed, config);
-    }
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
-    let mut sv = StateVec::with_config(seed, config);
-    for (&(w, t), &v) in flat.inputs.iter().zip(inputs) {
-        sv.add_input(w, t, v);
-    }
-    for gate in &flat.gates {
-        sv.apply(gate)?;
-    }
-    publish_kernel_metrics(&sv);
-    Ok(RunResult {
-        state: sv,
-        outputs: flat.outputs.clone(),
-    })
+        )
+    } else {
+        pass_through(flat)
+    };
+    run_fused(&fused, inputs, seed, config)
 }
 
-/// Feeds one run's kernel-dispatch counters into the process-wide metrics
-/// registry, if tracing is enabled.
-fn publish_kernel_metrics(sv: &StateVec) {
-    if !quipper_trace::enabled() {
+/// Feeds one run's kernel-dispatch and profiler counters into the
+/// process-wide metrics registry, if tracing is enabled and anything ran.
+fn publish_kernel_metrics(stats: &KernelStats, prof: &ProfileStats) {
+    if !quipper_trace::enabled() || (*stats == KernelStats::default() && prof.windows_sampled == 0)
+    {
         return;
     }
-    let stats = sv.kernel_stats();
     let m = quipper_trace::tracer().metrics();
     m.add(quipper_trace::names::KERNEL_DIAGONAL, stats.diagonal);
     m.add(quipper_trace::names::KERNEL_PERMUTATION, stats.permutation);
@@ -1150,7 +1216,6 @@ fn publish_kernel_metrics(sv: &StateVec) {
     m.add(quipper_trace::names::KERNEL_WINDOWS, stats.windows);
     m.add(quipper_trace::names::KERNEL_MAT4, stats.mat4);
     m.add(quipper_trace::names::KERNEL_RELABELED, stats.relabeled);
-    let prof = sv.profile_stats();
     if prof.windows_sampled > 0 {
         m.add(
             quipper_trace::names::PROF_WINDOWS_SAMPLED,
@@ -1164,8 +1229,8 @@ fn publish_kernel_metrics(sv: &StateVec) {
     }
 }
 
-/// Runs a pre-fused circuit for one shot. Shot loops fuse once (or take the
-/// fused circuit from a cached plan) and call this per shot.
+/// Runs a pre-fused circuit for one shot: [`Prepared::new`] plus
+/// [`Prepared::into_shot`].
 ///
 /// # Errors
 ///
@@ -1176,43 +1241,322 @@ pub fn run_fused(
     seed: u64,
     config: StateVecConfig,
 ) -> Result<RunResult, SimError> {
-    if inputs.len() != fused.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: fused.inputs.len(),
-            found: inputs.len(),
-        });
+    Prepared::new(Cow::Borrowed(fused), inputs, config)?.into_shot(seed)
+}
+
+/// Whether an op draws from the RNG: the ops a run is split at.
+fn is_random(op: &FusedOp) -> bool {
+    matches!(
+        op,
+        FusedOp::Gate(Gate::QMeas { .. } | Gate::QDiscard { .. })
+    )
+}
+
+/// Peak live-qubit count over `ops`, starting from `live` live qubits.
+fn peak_width(ops: &[FusedOp], mut live: usize) -> usize {
+    let mut peak = live;
+    for op in ops {
+        match op {
+            FusedOp::Gate(Gate::QInit { .. }) => {
+                live += 1;
+                peak = peak.max(live);
+            }
+            FusedOp::Gate(Gate::QTerm { .. } | Gate::QMeas { .. } | Gate::QDiscard { .. }) => {
+                live = live.saturating_sub(1);
+            }
+            _ => {}
+        }
     }
-    let mut sv = StateVec::with_config(seed, config);
-    for (&(w, t), &v) in fused.inputs.iter().zip(inputs) {
-        sv.add_input(w, t, v);
+    peak
+}
+
+/// Reserves room for `2^width` amplitudes up front, so growing to the
+/// peak width never reallocates. Best effort: a reservation the allocator
+/// refuses is skipped, and the vector grows on demand instead.
+fn reserve_width(amps: &mut Vec<Complex>, width: usize) {
+    if let Some(cap) = u32::try_from(width)
+        .ok()
+        .and_then(|w| 1usize.checked_shl(w))
+    {
+        let _ = amps.try_reserve_exact(cap.saturating_sub(amps.len()));
     }
-    if sv.config.window {
-        // Walk the op stream, executing planned window segments through the
-        // blocked executor and everything between them per-gate.
-        let mut i = 0;
-        let mut next_seg = 0;
-        while i < fused.ops.len() {
-            if let Some(seg) = fused.segments.get(next_seg) {
-                if seg.start == i {
-                    sv.exec_segment(&fused.ops[seg.start..seg.end])?;
-                    i = seg.end;
-                    next_seg += 1;
-                    continue;
+}
+
+/// A state-vector run split at its first random op (`QMeas` or
+/// `QDiscard`): the measurement-free prefix has run once, and each shot
+/// replays only the tail with its own seed.
+///
+/// The prefix draws nothing from the RNG, so every shot's outcomes are
+/// bit-identical, seed for seed, to a whole-circuit run. Shots only read
+/// the prefix state, so one `Prepared` serves concurrent shots.
+#[derive(Debug)]
+pub struct Prepared<'c> {
+    fused: Cow<'c, FusedCircuit>,
+    /// Index of the first random op (`ops.len()` if there is none).
+    split: usize,
+    /// The state after the prefix, its vector reserved at the prefix's
+    /// peak width.
+    state: StateVec,
+}
+
+impl<'c> Prepared<'c> {
+    /// Runs the prefix of `fused` on basis-state `inputs` and publishes its
+    /// kernel counters.
+    ///
+    /// # Errors
+    ///
+    /// Input arity, and any error the prefix raises (unknown wires,
+    /// unsupported gates, violated termination assertions): the error
+    /// every shot of a whole-circuit run would have raised.
+    pub fn new(
+        fused: Cow<'c, FusedCircuit>,
+        inputs: &[bool],
+        config: StateVecConfig,
+    ) -> Result<Prepared<'c>, SimError> {
+        if inputs.len() != fused.inputs.len() {
+            return Err(SimError::InputArity {
+                expected: fused.inputs.len(),
+                found: inputs.len(),
+            });
+        }
+        let split = fused
+            .ops
+            .iter()
+            .position(is_random)
+            .unwrap_or(fused.ops.len());
+        let mut state = StateVec::with_config(0, config);
+        let quantum_inputs = fused
+            .inputs
+            .iter()
+            .filter(|&&(_, t)| t == WireType::Quantum)
+            .count();
+        reserve_width(
+            &mut state.amps,
+            peak_width(&fused.ops[..split], quantum_inputs),
+        );
+        for (&(w, t), &v) in fused.inputs.iter().zip(inputs) {
+            state.add_input(w, t, v);
+        }
+        state.run_ops(&fused, 0, split)?;
+        publish_kernel_metrics(&state.stats, &state.prof);
+        Ok(Prepared {
+            fused,
+            split,
+            state,
+        })
+    }
+
+    /// Runs one shot seeded with `seed`. Tail measurements read the shared
+    /// prefix state through a pending projection; the first tail op that
+    /// writes amplitudes switches the shot to a private copy of the live
+    /// sub-cube (measured slots dropped), whose kernel counters are
+    /// published when the shot completes.
+    ///
+    /// # Errors
+    ///
+    /// Any error the tail raises under this seed.
+    pub fn shot(&self, seed: u64) -> Result<RunResult, SimError> {
+        let ops = &self.fused.ops;
+        let mut shot = SharedShot::new(&self.state, seed);
+        for i in self.split..ops.len() {
+            if shot.apply(&ops[i])? {
+                continue;
+            }
+            let width = peak_width(&ops[i..], shot.slots.len());
+            let mut state = shot.into_state(width);
+            state.run_ops(&self.fused, i, ops.len())?;
+            publish_kernel_metrics(&state.stats, &state.prof);
+            return Ok(self.result(state));
+        }
+        Ok(self.result(shot.into_state(0)))
+    }
+
+    /// Runs one shot seeded with `seed` on the prefix state itself, with no
+    /// copy: the single-shot path. The result's counters cover prefix and
+    /// tail; only the tail's are published here.
+    ///
+    /// # Errors
+    ///
+    /// As for [`shot`](Self::shot).
+    pub fn into_shot(mut self, seed: u64) -> Result<RunResult, SimError> {
+        let state = &mut self.state;
+        state.rng = StdRng::seed_from_u64(seed);
+        let prefix_stats = std::mem::take(&mut state.stats);
+        let prefix_prof = std::mem::take(&mut state.prof);
+        state.run_ops(&self.fused, self.split, self.fused.ops.len())?;
+        publish_kernel_metrics(&state.stats, &state.prof);
+        state.stats.merge(&prefix_stats);
+        state.prof.merge(&prefix_prof);
+        let outputs = self.fused.outputs.clone();
+        Ok(RunResult {
+            state: self.state,
+            outputs,
+        })
+    }
+
+    fn result(&self, state: StateVec) -> RunResult {
+        RunResult {
+            state,
+            outputs: self.fused.outputs.clone(),
+        }
+    }
+}
+
+/// One shot's view of a [`Prepared`] state until a tail op writes
+/// amplitudes: the shared prefix vector read through a pending projection.
+/// Measured slots stay in the shared vector; `mask`/`want` hold their
+/// outcomes and `scales` the renormalization factors in the order eager
+/// projection would have applied them, so every amplitude read here equals,
+/// bit for bit, the one eager projection would have stored.
+struct SharedShot<'p> {
+    base: &'p StateVec,
+    /// Live wires → slots of the shared vector.
+    slots: HashMap<Wire, usize>,
+    classical: HashMap<Wire, bool>,
+    rng: StdRng,
+    mask: usize,
+    want: usize,
+    scales: Vec<f64>,
+    relabeled: u64,
+}
+
+impl<'p> SharedShot<'p> {
+    fn new(base: &'p StateVec, seed: u64) -> SharedShot<'p> {
+        SharedShot {
+            base,
+            slots: base.slots.clone(),
+            classical: base.classical.clone(),
+            rng: StdRng::seed_from_u64(seed),
+            mask: 0,
+            want: 0,
+            scales: Vec::new(),
+            relabeled: 0,
+        }
+    }
+
+    /// The amplitude at shared index `i`, renormalized.
+    fn amp(&self, i: usize) -> Complex {
+        self.scales
+            .iter()
+            .fold(self.base.amps[i], |a, &k| a.scale(k))
+    }
+
+    /// Shared indices of the live sub-cube (every measured slot at its
+    /// outcome), ascending.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        let (mask, want, len) = (self.mask, self.want, self.base.amps.len());
+        std::iter::successors(Some(want), move |&i| {
+            Some((((i | mask) + 1) & !mask) | want)
+        })
+        .take_while(move |&i| i < len)
+    }
+
+    /// Executes `op` if it leaves the amplitudes untouched: measurements,
+    /// discards and terminations (into the pending projection), classical
+    /// gates, gates whose classical controls fail, relabeled swaps. Returns
+    /// `false`, having done nothing, for an op that writes amplitudes.
+    fn apply(&mut self, op: &FusedOp) -> Result<bool, SimError> {
+        let gate = match op {
+            FusedOp::Gate(gate) => gate,
+            FusedOp::Unitary1q { controls, .. } => {
+                return Ok(resolve_controls(&self.slots, &self.classical, controls)?.is_none());
+            }
+            FusedOp::Unitary2q { .. } => return Ok(false),
+        };
+        if let Some(result) = apply_classical(&mut self.classical, gate) {
+            return result.map(|()| true);
+        }
+        match gate {
+            Gate::QMeas { wire } => {
+                let outcome = self.collapse(*wire, None)?;
+                self.classical.insert(*wire, outcome);
+            }
+            Gate::QDiscard { wire } => {
+                self.collapse(*wire, None)?;
+            }
+            Gate::QTerm { value, wire } => {
+                self.collapse(*wire, Some(*value))?;
+            }
+            Gate::QGate {
+                name,
+                targets,
+                controls,
+                ..
+            } => match resolve_controls(&self.slots, &self.classical, controls)? {
+                None => {}
+                Some((mask, _)) if *name == GateName::Swap && self.base.relabels(mask) => {
+                    let sa = slot_of(&self.slots, targets[0])?;
+                    let sb = slot_of(&self.slots, targets[1])?;
+                    self.slots.insert(targets[0], sb);
+                    self.slots.insert(targets[1], sa);
+                    self.relabeled += 1;
+                }
+                Some(_) => return Ok(false),
+            },
+            Gate::QRot { controls, .. } | Gate::GPhase { controls, .. } => {
+                if resolve_controls(&self.slots, &self.classical, controls)?.is_some() {
+                    return Ok(false);
                 }
             }
-            sv.apply_fused(&fused.ops[i])?;
-            i += 1;
+            _ => return Ok(false),
         }
-    } else {
-        for op in &fused.ops {
-            sv.apply_fused(op)?;
+        Ok(true)
+    }
+
+    /// [`StateVec::collapse`] through the pending projection: one pass over
+    /// the live sub-cube sums both outcome probabilities in ascending index
+    /// order, then the slot joins the projection.
+    fn collapse(&mut self, wire: Wire, asserted: Option<bool>) -> Result<bool, SimError> {
+        let slot = self
+            .slots
+            .remove(&wire)
+            .ok_or(SimError::UnknownWire { wire })?;
+        let bit = 1usize << slot;
+        let (mut p0, mut p1) = (0.0, 0.0);
+        for i in self.live() {
+            let p = self.amp(i).norm_sqr();
+            if i & bit == 0 {
+                p0 += p;
+            } else {
+                p1 += p;
+            }
+        }
+        let (outcome, norm) = decide(wire, asserted, p0, p1, &mut self.rng)?;
+        self.mask |= bit;
+        if outcome {
+            self.want |= bit;
+        }
+        self.scales.push(1.0 / norm.sqrt());
+        Ok(outcome)
+    }
+
+    /// Copies the live sub-cube into a private state, reserved at `width`
+    /// qubits: the state eager projection would have left.
+    fn into_state(self, width: usize) -> StateVec {
+        let mut amps = Vec::new();
+        reserve_width(&mut amps, width);
+        amps.extend(self.live().map(|i| self.amp(i)));
+        let below = |s: usize| (self.mask & ((1usize << s) - 1)).count_ones() as usize;
+        let slots = self
+            .slots
+            .iter()
+            .map(|(&w, &s)| (w, s - below(s)))
+            .collect();
+        StateVec {
+            amps,
+            slots,
+            classical: self.classical,
+            rng: self.rng,
+            config: self.base.config,
+            stats: KernelStats {
+                relabeled: self.relabeled,
+                ..KernelStats::default()
+            },
+            prof: ProfileStats::default(),
+            prof_tick: 0,
+            reference: false,
         }
     }
-    publish_kernel_metrics(&sv);
-    Ok(RunResult {
-        state: sv,
-        outputs: fused.outputs.clone(),
-    })
 }
 
 /// Runs a flat circuit on the full-scan reference path: no fusion, no
@@ -1513,7 +1857,8 @@ mod tests {
     }
 }
 
-/// Runs a circuit `shots` times (seeds `seed0..seed0+shots`) and returns a
+/// Runs a circuit `shots` times (seeds `seed0`, `seed0 + 1`, …, wrapping
+/// at `u64::MAX`) and returns a
 /// histogram over the classical outputs, most frequent first.
 ///
 /// All declared outputs must be classical (measure them in the circuit).
@@ -1549,14 +1894,8 @@ pub fn sample_outputs(
 ) -> Result<Vec<(Vec<bool>, u64)>, SimError> {
     use std::collections::HashMap;
     let mut hist: HashMap<Vec<bool>, u64> = HashMap::new();
-    // Inline and fuse once; replay the fused op stream per shot.
+    // Inline, fuse and run the prefix once; replay the tail per shot.
     let flat = inline_all(&bc.db, &bc.main)?;
-    if inputs.len() != flat.inputs.len() {
-        return Err(SimError::InputArity {
-            expected: flat.inputs.len(),
-            found: inputs.len(),
-        });
-    }
     let config = StateVecConfig::default();
     let fused = fuse_circuit_with(
         &flat,
@@ -1565,8 +1904,9 @@ pub fn sample_outputs(
             merge_2q: config.fuse_2q,
         },
     );
+    let prepared = Prepared::new(Cow::Borrowed(&fused), inputs, config)?;
     for shot in 0..shots {
-        let r = run_fused(&fused, inputs, seed0 + shot, config)?;
+        let r = prepared.shot(seed0.wrapping_add(shot))?;
         let mut key = Vec::with_capacity(r.outputs.len());
         for &(w, t) in &r.outputs {
             if t != WireType::Classical {
@@ -1604,5 +1944,16 @@ mod sample_tests {
         let total: u64 = h1.iter().map(|(_, n)| n).sum();
         assert_eq!(total, 100);
         assert_eq!(h1.len(), 2, "both outcomes occur in 100 shots");
+    }
+
+    /// Shot seeds wrap at `u64::MAX` instead of overflowing.
+    #[test]
+    fn seeds_wrap_past_u64_max() {
+        let bc = Circ::build(&false, |c, q: Qubit| {
+            c.hadamard(q);
+            c.measure_bit(q)
+        });
+        let hist = super::sample_outputs(&bc, &[false], 4, u64::MAX - 1).unwrap();
+        assert_eq!(hist.iter().map(|(_, n)| n).sum::<u64>(), 4);
     }
 }

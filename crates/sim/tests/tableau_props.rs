@@ -9,12 +9,20 @@
 //! deterministic g-sum, and the destabilizer write-back in the packed
 //! word-parallel phase arithmetic is pinned against the row-at-a-time
 //! reference.
+//!
+//! The shot path is pinned the same way: [`PreparedClifford`] runs the
+//! prefix before the first measurement once and clones the tableau per
+//! shot, and each of its shots must equal a whole-circuit run on the
+//! reference tableau under the same seed.
 
 use proptest::prelude::*;
 use quipper::{Circ, Qubit};
 use quipper_circuit::flatten::inline_all;
 use quipper_circuit::{BCircuit, Circuit, GateName};
-use quipper_sim::stabilizer::{run_clifford_flat_tableau, PackedTableau, Tableau};
+use quipper_sim::stabilizer::{
+    run_clifford_flat_tableau, CliffordSim, PackedTableau, PreparedClifford, Tableau,
+};
+use quipper_sim::SimError;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -193,8 +201,8 @@ impl Tableau for BoolTableau {
 const QUBITS: usize = 8;
 
 /// One random Clifford instruction: the 1q generators and their inverses,
-/// the supported 2q gates (CNOT, CZ, Swap), and classically-controlled
-/// forms arising from prior measurements are left to the driver.
+/// the supported 2q gates (CNOT, CZ, Swap), and a mid-circuit measurement
+/// that classically controls an X and re-allocates the measured qubit.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     H(usize),
@@ -206,6 +214,9 @@ enum Op {
     Cnot(usize, usize),
     Cz(usize, usize),
     Swap(usize, usize),
+    /// Measure qubit `a`, apply X to qubit `t` if the outcome is 1, and
+    /// allocate a fresh `|0⟩` in `a`'s place.
+    MeasureCtrlX(usize, usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -220,6 +231,7 @@ fn op() -> impl Strategy<Value = Op> {
         (q.clone(), q.clone()).prop_map(|(a, b)| Op::Cnot(a, b)),
         (q.clone(), q.clone()).prop_map(|(a, b)| Op::Cz(a, b)),
         (q.clone(), q.clone()).prop_map(|(a, b)| Op::Swap(a, b)),
+        (q.clone(), q.clone()).prop_map(|(a, t)| Op::MeasureCtrlX(a, t)),
     ]
 }
 
@@ -229,7 +241,7 @@ fn op() -> impl Strategy<Value = Op> {
 /// measurements.
 fn circuit(ops: &[Op]) -> BCircuit {
     let mut c = Circ::new();
-    let qs: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
+    let mut qs: Vec<Qubit> = (0..QUBITS).map(|_| c.qinit_bit(false)).collect();
     for &op in ops {
         match op {
             Op::H(a) => c.hadamard(qs[a]),
@@ -244,6 +256,13 @@ fn circuit(ops: &[Op]) -> BCircuit {
                 c.with_controls(&qb, |c| c.gate_z(qa));
             }
             Op::Swap(a, b) if a != b => c.swap(qs[a], qs[b]),
+            Op::MeasureCtrlX(a, t) if a != t => {
+                let bit = c.measure_bit(qs[a]);
+                let target = qs[t];
+                c.with_controls(&bit, |c| c.qnot(target));
+                c.cdiscard(bit);
+                qs[a] = c.qinit_bit(false);
+            }
             _ => {}
         }
     }
@@ -272,6 +291,45 @@ proptest! {
                 &packed,
                 &reference,
                 "backends diverge at seed {}",
+                seed
+            );
+        }
+    }
+}
+
+/// A whole-circuit run on the reference tableau: the oracle for the split
+/// shot path.
+fn whole_run_on_bool_tableau(flat: &Circuit, seed: u64) -> Result<Vec<bool>, SimError> {
+    let mut sim: CliffordSim<BoolTableau> = CliffordSim::new(seed);
+    for gate in &flat.gates {
+        sim.apply(gate)?;
+    }
+    flat.outputs
+        .iter()
+        .map(|&(w, _)| {
+            sim.classical_value(w)
+                .ok_or(SimError::UnknownWire { wire: w })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Shots from one prepared prefix equal whole-circuit runs on the
+    /// reference tableau, seed for seed, mid-circuit measurements and
+    /// classical control included.
+    #[test]
+    fn prepared_shots_match_whole_runs_on_the_reference(
+        ops in proptest::collection::vec(op(), 1..60),
+    ) {
+        let flat = flat_of(&circuit(&ops));
+        let prepared = PreparedClifford::<PackedTableau>::new(&flat, &[]).unwrap();
+        for seed in 0..20u64 {
+            prop_assert_eq!(
+                prepared.shot(seed),
+                whole_run_on_bool_tableau(&flat, seed),
+                "seed {}",
                 seed
             );
         }
